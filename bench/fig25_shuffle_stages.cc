@@ -2,6 +2,8 @@
 // partition count. Expectation: a single-stage shuffle over many partitions
 // thrashes the cache (one output cursor per partition); too many stages add
 // copying; the optimum sits at 2-3 stages. Normalized to the 1-stage run.
+// Scatter's bucketed appends do the first stage, so k stages mean k-1
+// shuffle passes between scatter and gather.
 #include "algorithms/algorithms.h"
 #include "bench_common.h"
 #include "core/inmem_engine.h"

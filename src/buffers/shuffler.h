@@ -12,6 +12,10 @@
 // thread; each thread shuffles only its own slice and maintains a private
 // index array, so no synchronization is needed inside a stage. The chunk for
 // partition p is the union of each slice's chunk p.
+//
+// The in-memory engine does the tree's first level during scatter
+// (BucketedAppender, threads/concurrent_appender.h) and hands the resulting
+// per-thread bucket chunks to ShuffleLevels for the levels below it.
 #ifndef XSTREAM_BUFFERS_SHUFFLER_H_
 #define XSTREAM_BUFFERS_SHUFFLER_H_
 
@@ -19,6 +23,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "buffers/stream_buffer.h"
@@ -142,6 +147,142 @@ void StagedSingleStageShuffle(ThreadPool& pool, const Record* src, Record* dst,
   });
 }
 
+// Records grouped by shuffle-tree node within each slice (Fig 7), where one
+// node's records may span several chunks: nodes[s][n] lists slice s's
+// chunks of node n, in order.
+using SliceNodes = std::vector<std::vector<ChunkList>>;
+
+// Number of shuffle steps (tree levels) that group records into K =
+// `num_partitions` partitions: none for K == 1, one for any K when fanout
+// >= K, otherwise ceil(log_F K), which needs power-of-two K and fanout
+// (paper §4.2).
+inline int ShuffleStages(uint32_t num_partitions, uint32_t fanout) {
+  XS_CHECK_GT(num_partitions, 0u);
+  XS_CHECK(fanout > 1 || num_partitions == 1)
+      << "fanout must exceed 1 when there is more than one partition";
+  if (num_partitions == 1) {
+    return 0;
+  }
+  if (fanout >= num_partitions) {
+    return 1;
+  }
+  XS_CHECK(std::has_single_bit(num_partitions))
+      << "multi-stage shuffle requires power-of-two partitions, got " << num_partitions;
+  XS_CHECK(std::has_single_bit(fanout)) << "fanout must be a power of two, got " << fanout;
+  const uint32_t fanout_bits = CeilLog2(fanout);
+  return static_cast<int>((CeilLog2(num_partitions) + fanout_bits - 1) / fanout_bits);
+}
+
+// Runs the shuffle-tree levels below the top `bits_consumed` bits of the
+// partition id; bits_consumed == 0 runs them all, as one step for any K when
+// fanout >= K. On entry nodes[s] holds slice s's 2^bits_consumed nodes, in
+// node order, in `src` (at least one level must remain). Each level writes
+// slice s's records to its own region of the other buffer — the regions
+// tile [0, total) in slice order — so records never leave their slice and
+// keep their relative order within a partition. Returns the per-slice,
+// per-partition chunks, the buffer they ended in and the levels run.
+template <typename Record, typename PartOf>
+ShuffleOutput<Record> ShuffleLevels(ThreadPool& pool, Record* src, Record* dst,
+                                    const SliceNodes& nodes, uint32_t num_partitions,
+                                    uint32_t fanout, uint32_t bits_consumed, PartOf part_of) {
+  const size_t num_slices = nodes.size();
+  XS_CHECK_EQ(num_slices, static_cast<size_t>(pool.num_threads()));
+  const uint32_t total_bits = CeilLog2(num_partitions);
+  XS_CHECK_LT(bits_consumed, total_bits) << "no shuffle level remains";
+  ShuffleStages(num_partitions, fanout);  // validates K and fanout
+  const bool any_k = fanout >= num_partitions;
+  XS_CHECK(!any_k || bits_consumed == 0) << "an any-K step is the whole tree";
+
+  std::vector<uint64_t> slice_begin(num_slices + 1, 0);
+  for (size_t s = 0; s < num_slices; ++s) {
+    uint64_t records = 0;
+    for (const ChunkList& node : nodes[s]) {
+      for (const ChunkRef& c : node) {
+        records += c.count;
+      }
+    }
+    slice_begin[s + 1] = slice_begin[s] + records;
+  }
+
+  ShuffleOutput<Record> out;
+  out.num_partitions = num_partitions;
+  // Per-slice chunk lists for the current tree level (node-major order);
+  // after the first level every node is one chunk.
+  std::vector<std::vector<ChunkRef>> cur(num_slices);
+  for (bool first = true; bits_consumed < total_bits; first = false) {
+    const uint32_t step_bits =
+        any_k ? total_bits : std::min(CeilLog2(fanout), total_bits - bits_consumed);
+    // Children per node this level; a single any-K step bypasses the bit
+    // framing (children == K, child == partition).
+    const uint64_t children = any_k ? num_partitions : (uint64_t{1} << step_bits);
+    const uint32_t child_shift = total_bits - bits_consumed - step_bits;
+    const uint64_t child_mask = children - 1;
+
+    std::vector<std::vector<ChunkRef>> next(num_slices);
+    auto shuffle_slice = [&](size_t s, auto child_of) {
+      const size_t num_nodes = first ? nodes[s].size() : cur[s].size();
+      auto& my_next = next[s];
+      my_next.assign(num_nodes * children, ChunkRef{});
+
+      std::vector<uint64_t> counts(children);
+      // Pass 1+2 fused per node: count, assign offsets, copy. Offsets are
+      // assigned node-major so children become next-level nodes in order.
+      uint64_t cursor = slice_begin[s];
+      std::vector<uint64_t> positions(children);
+      for (size_t node = 0; node < num_nodes; ++node) {
+        const std::span<const ChunkRef> chunks =
+            first ? std::span<const ChunkRef>(nodes[s][node])
+                  : std::span<const ChunkRef>(&cur[s][node], 1);
+        std::fill(counts.begin(), counts.end(), 0);
+        for (const ChunkRef& chunk : chunks) {
+          const Record* in = src + chunk.begin;
+          for (uint64_t r = 0; r < chunk.count; ++r) {
+            ++counts[child_of(in[r])];
+          }
+        }
+        for (uint64_t c = 0; c < children; ++c) {
+          my_next[node * children + c] = ChunkRef{cursor, counts[c]};
+          positions[c] = cursor;
+          cursor += counts[c];
+        }
+        for (const ChunkRef& chunk : chunks) {
+          const Record* in = src + chunk.begin;
+          for (uint64_t r = 0; r < chunk.count; ++r) {
+            dst[positions[child_of(in[r])]++] = in[r];
+          }
+        }
+      }
+    };
+    pool.RunOnAll([&](int tid) {
+      const size_t s = static_cast<size_t>(tid);
+      if (any_k) {
+        shuffle_slice(s, [&](const Record& r) { return static_cast<uint64_t>(part_of(r)); });
+      } else {
+        shuffle_slice(s, [&](const Record& r) {
+          return (static_cast<uint64_t>(part_of(r)) >> child_shift) & child_mask;
+        });
+      }
+    });
+
+    cur.swap(next);
+    std::swap(src, dst);
+    bits_consumed += step_bits;
+    ++out.stages_run;
+  }
+
+  // cur now holds, per slice, 2^total_bits (or K for an any-K step) chunks
+  // in partition order; trim to exactly K (pow2 rounding can exceed K only
+  // when part_of never produces those ids, so the extra chunks are empty).
+  out.data = src;
+  out.slices.resize(num_slices);
+  for (size_t s = 0; s < num_slices; ++s) {
+    XS_CHECK_GE(cur[s].size(), num_partitions);
+    cur[s].resize(num_partitions);
+    out.slices[s] = std::move(cur[s]);
+  }
+  return out;
+}
+
 // Shuffles `count` records (currently in `a`) into partition-grouped chunks,
 // alternating between buffers `a` and `b`.
 //
@@ -160,46 +301,34 @@ ShuffleOutput<Record> ShuffleRecords(ThreadPool& pool, Record* a, Record* b, uin
                                      uint32_t num_partitions, uint32_t fanout, PartOf part_of,
                                      size_t stage_bytes = 0) {
   static_assert(std::is_trivially_copyable_v<Record>);
-  XS_CHECK_GT(num_partitions, 0u);
-  XS_CHECK(fanout > 1 || num_partitions == 1)
-      << "fanout must exceed 1 when there is more than one partition";
+  const int stages = ShuffleStages(num_partitions, fanout);
 
   const int num_slices = pool.num_threads();
-  ShuffleOutput<Record> out;
-  out.num_partitions = num_partitions;
-  out.slices.resize(static_cast<size_t>(num_slices));
-
   // Fixed slice boundaries: records never leave their slice (Fig 7).
   std::vector<uint64_t> slice_begin(static_cast<size_t>(num_slices) + 1);
   for (int s = 0; s <= num_slices; ++s) {
     slice_begin[static_cast<size_t>(s)] =
         count * static_cast<uint64_t>(s) / static_cast<uint64_t>(num_slices);
   }
+  // One chunk per slice: the slice itself (a tree root, or with K == 1 the
+  // whole partition).
+  std::vector<ChunkList> slice_chunks(static_cast<size_t>(num_slices));
+  for (size_t s = 0; s < slice_chunks.size(); ++s) {
+    slice_chunks[s] = {ChunkRef{slice_begin[s], slice_begin[s + 1] - slice_begin[s]}};
+  }
 
-  if (num_partitions == 1) {
+  if (stages == 0) {
+    ShuffleOutput<Record> out;
     out.data = a;
-    out.stages_run = 0;
-    for (int s = 0; s < num_slices; ++s) {
-      auto sb = slice_begin[static_cast<size_t>(s)];
-      out.slices[static_cast<size_t>(s)] = {
-          ChunkRef{sb, slice_begin[static_cast<size_t>(s) + 1] - sb}};
-    }
+    out.num_partitions = 1;
+    out.slices = std::move(slice_chunks);
     return out;
   }
 
-  const uint32_t total_bits = CeilLog2(num_partitions);
-  int stages;
-  if (fanout >= num_partitions) {
-    stages = 1;
-  } else {
-    XS_CHECK(std::has_single_bit(num_partitions))
-        << "multi-stage shuffle requires power-of-two partitions, got " << num_partitions;
-    XS_CHECK(std::has_single_bit(fanout)) << "fanout must be a power of two, got " << fanout;
-    uint32_t fanout_bits = CeilLog2(fanout);
-    stages = static_cast<int>((total_bits + fanout_bits - 1) / fanout_bits);
-  }
-
   if (stages == 1 && stage_bytes > 0 && num_partitions <= kMaxStagedPartitions) {
+    ShuffleOutput<Record> out;
+    out.num_partitions = num_partitions;
+    out.slices.resize(static_cast<size_t>(num_slices));
     StagedSingleStageShuffle(pool, a, b, slice_begin, num_partitions, part_of, stage_bytes,
                              out.slices);
     obs::MetricsRegistry::Global().counter("shuffle.staged_records").Add(count);
@@ -208,87 +337,11 @@ ShuffleOutput<Record> ShuffleRecords(ThreadPool& pool, Record* a, Record* b, uin
     return out;
   }
 
-  // Per-slice chunk lists for the current tree level (node-major order).
-  std::vector<std::vector<ChunkRef>> cur(static_cast<size_t>(num_slices));
-  for (int s = 0; s < num_slices; ++s) {
-    auto sb = slice_begin[static_cast<size_t>(s)];
-    cur[static_cast<size_t>(s)] = {ChunkRef{sb, slice_begin[static_cast<size_t>(s) + 1] - sb}};
+  SliceNodes roots(static_cast<size_t>(num_slices));
+  for (size_t s = 0; s < roots.size(); ++s) {
+    roots[s] = {std::move(slice_chunks[s])};
   }
-
-  Record* src = a;
-  Record* dst = b;
-  uint32_t bits_consumed = 0;
-
-  for (int stage = 0; stage < stages; ++stage) {
-    uint32_t remaining = total_bits - bits_consumed;
-    uint32_t step_bits;
-    if (stages == 1) {
-      step_bits = remaining;  // single stage handles arbitrary K below
-    } else {
-      uint32_t fanout_bits = CeilLog2(fanout);
-      step_bits = std::min(fanout_bits, remaining);
-    }
-    // Children per node this stage. For a single stage with arbitrary K the
-    // "bit" framing is bypassed: children == num_partitions.
-    const uint64_t children =
-        (stages == 1) ? num_partitions : (uint64_t{1} << step_bits);
-    const uint32_t next_consumed = bits_consumed + step_bits;
-    const uint32_t child_shift = total_bits - next_consumed;
-    const uint64_t child_mask = children - 1;
-
-    std::vector<std::vector<ChunkRef>> next(static_cast<size_t>(num_slices));
-
-    pool.RunOnAll([&](int tid) {
-      const auto& my_chunks = cur[static_cast<size_t>(tid)];
-      auto& my_next = next[static_cast<size_t>(tid)];
-      my_next.assign(my_chunks.size() * children, ChunkRef{});
-
-      std::vector<uint64_t> counts(children);
-      // Pass 1+2 fused per node: count, assign offsets, copy. Offsets are
-      // assigned node-major so children become next-level nodes in order.
-      uint64_t cursor = slice_begin[static_cast<size_t>(tid)];
-      std::vector<uint64_t> positions(children);
-      for (size_t node = 0; node < my_chunks.size(); ++node) {
-        const ChunkRef& chunk = my_chunks[node];
-        std::fill(counts.begin(), counts.end(), 0);
-        const Record* in = src + chunk.begin;
-        for (uint64_t r = 0; r < chunk.count; ++r) {
-          uint64_t p = part_of(in[r]);
-          uint64_t child = (stages == 1) ? p : ((p >> child_shift) & child_mask);
-          ++counts[child];
-        }
-        for (uint64_t c = 0; c < children; ++c) {
-          ChunkRef& ref = my_next[node * children + c];
-          ref.begin = cursor;
-          ref.count = counts[c];
-          positions[c] = cursor;
-          cursor += counts[c];
-        }
-        for (uint64_t r = 0; r < chunk.count; ++r) {
-          uint64_t p = part_of(in[r]);
-          uint64_t child = (stages == 1) ? p : ((p >> child_shift) & child_mask);
-          dst[positions[child]++] = in[r];
-        }
-      }
-    });
-
-    cur.swap(next);
-    std::swap(src, dst);
-    bits_consumed = next_consumed;
-  }
-
-  // cur now holds, per slice, 2^total_bits (or K for single-stage) chunks in
-  // partition order; trim to exactly K (pow2 rounding can exceed K only when
-  // part_of never produces those ids, so the extra chunks are empty).
-  out.data = src;
-  out.stages_run = stages;
-  for (int s = 0; s < num_slices; ++s) {
-    auto& chunks = cur[static_cast<size_t>(s)];
-    XS_CHECK_GE(chunks.size(), num_partitions);
-    chunks.resize(num_partitions);
-    out.slices[static_cast<size_t>(s)] = std::move(chunks);
-  }
-  return out;
+  return ShuffleLevels(pool, a, b, roots, num_partitions, fanout, 0, part_of);
 }
 
 }  // namespace xstream

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <vector>
 
 #include "util/aligned.h"
 #include "util/logging.h"
@@ -27,6 +28,10 @@ struct ChunkRef {
   uint64_t begin = 0;
   uint64_t count = 0;
 };
+
+// One partition's (or shuffle-tree node's) records when they sit in several
+// chunks of a chunk array — the blocks bucketed appends flush — in order.
+using ChunkList = std::vector<ChunkRef>;
 
 class StreamBuffer {
  public:

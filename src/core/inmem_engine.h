@@ -5,14 +5,18 @@
 //
 //  * Partition count: chosen so the vertex *footprint* (state + edge +
 //    update bytes) of each partition fits the per-core CPU cache (§4).
-//  * Exactly three stream buffers: one holding the (partitioned) edges, one
-//    collecting generated updates, one as shuffle scratch (§4) — owned by
-//    MemoryStreamStore (core/stream_store.h).
+//  * Stream buffers owned by MemoryStreamStore (core/stream_store.h): one
+//    holding the (partitioned) edges, one collecting generated updates, and
+//    shuffle scratch only when the partitions outnumber the fanout.
 //  * Parallel scatter-gather over partitions with work stealing (§4.1);
-//    update appends go through thread-private 8 KB staging buffers flushed
-//    by atomic reservation (ConcurrentAppender).
-//  * Parallel multi-stage shuffler over per-thread slices with a fanout
-//    bounded by the cacheline budget (§4.2, Fig 7).
+//    update appends go through thread-private staging blocks, one per
+//    destination bucket, flushed by atomic reservation (BucketedAppender).
+//  * Multi-stage shuffler over per-thread slices with a fanout bounded by
+//    the cacheline budget (§4.2, Fig 7), its first level done by scatter's
+//    buckets. The auto fanout is capped at the partition count, so by
+//    default the buckets are the partitions and no shuffle pass runs at all
+//    between scatter and gather; a forced smaller fanout (Fig 25) runs the
+//    levels below the first.
 //
 // The engine consumes an *unordered* edge list; its own setup shuffle (timed
 // as setup_seconds) is the only pre-processing — there is no sort.
@@ -87,12 +91,11 @@ class InMemoryEngine {
     } else {
       layout = PartitionLayout(num_vertices_, k);
     }
-    fanout_ = config.shuffle_fanout > 0 ? RoundUpPow2(config.shuffle_fanout)
-                                        : ChooseShuffleFanout(k, cache, CachelineBytes());
+    uint32_t fanout = config.shuffle_fanout > 0 ? RoundUpPow2(config.shuffle_fanout)
+                                                : ChooseShuffleFanout(k, cache, CachelineBytes());
 
-    store_ = std::make_unique<Store>(pool_, std::move(layout), fanout_, edges);
+    store_ = std::make_unique<Store>(pool_, std::move(layout), fanout, edges);
     PhaseDriverOptions opts;
-    opts.shuffle_fanout = fanout_;
     opts.enable_work_stealing = config.enable_work_stealing;
     opts.keep_iteration_log = config.keep_iteration_log;
     driver_ = std::make_unique<Driver>(*store_, opts);
@@ -104,7 +107,7 @@ class InMemoryEngine {
   uint64_t num_vertices() const { return num_vertices_; }
   uint64_t num_edges() const { return num_edges_; }
   uint32_t num_partitions() const { return store_->layout().num_partitions(); }
-  uint32_t shuffle_fanout() const { return fanout_; }
+  uint32_t shuffle_fanout() const { return store_->shuffle_fanout(); }
   const PartitionLayout& layout() const { return store_->layout(); }
   ThreadPool& pool() { return pool_; }
 
@@ -141,7 +144,8 @@ class InMemoryEngine {
 
   void InitVertices(Algo& algo) { driver_->InitVertices(algo); }
 
-  // One synchronous scatter -> shuffle -> gather round (Fig 4).
+  // One synchronous scatter -> gather round (Fig 4), with scatter doing the
+  // shuffle's first level.
   IterationStats RunIteration(Algo& algo) { return driver_->RunIteration(algo); }
 
   // Runs Init + iterations until a scatter emits no updates, the algorithm
@@ -175,7 +179,6 @@ class InMemoryEngine {
   ThreadPool pool_;
   uint64_t num_vertices_;
   uint64_t num_edges_;
-  uint32_t fanout_ = 2;
   std::unique_ptr<Store> store_;
   std::unique_ptr<Driver> driver_;
 };

@@ -4,17 +4,22 @@
 // X-Stream applies the same edge-centric iteration structure to in-memory
 // and out-of-core streaming partitions (paper §3 Fig 6, §4 Fig 4). This
 // driver owns that structure once — partition iteration, scatter emission
-// through ConcurrentAppender staging, ShuffleRecords plumbing, gather
-// draining, vertex iteration, checkpointing and IterationStats/RunStats
-// folding — and is parameterized over a StreamStore (core/stream_store.h)
-// that decides where the streams and vertex states physically live.
+// through thread-private staging (threads/concurrent_appender.h), shuffle
+// plumbing, gather draining, vertex iteration, checkpointing and
+// IterationStats/RunStats folding — and is parameterized over a StreamStore
+// (core/stream_store.h) that decides where the streams and vertex states
+// physically live.
 //
 // The two stores imply two phase shapes, selected statically by the store's
 // kPartitionParallel trait:
 //
 //  * Partition-parallel (MemoryStreamStore, §4): partitions are cache-sized
 //    and plentiful, so scatter and gather run partitions concurrently under
-//    work stealing, with one global multi-stage shuffle between them.
+//    work stealing. Scatter stages each update in a per-thread block for its
+//    destination bucket (BucketedAppender), which does the first level of
+//    the §4.2 multi-stage shuffle: with at most `fanout` partitions the
+//    buckets are the partitions and no shuffle pass runs; with more, only
+//    the tree levels below the first run between scatter and gather.
 //  * Partition-sequential (DeviceStreamStore, §3): one partition's streams
 //    are loaded at a time; parallelism lives inside each loaded chunk (§4.3
 //    layering), the shuffle is folded into scatter via the store's spill
@@ -78,8 +83,6 @@ struct CheckpointHeader {
 static_assert(std::is_trivially_copyable_v<CheckpointHeader>);
 
 struct PhaseDriverOptions {
-  // Multi-stage shuffler fanout for the partition-parallel shape (§4.2).
-  uint32_t shuffle_fanout = 2;
   // Partition-parallel shape only: false = static round-robin assignment
   // (the §4.1 work-stealing ablation).
   bool enable_work_stealing = true;
@@ -97,6 +100,10 @@ class StreamingPhaseDriver {
  public:
   using VertexState = typename Algo::VertexState;
   using Update = typename Algo::Update;
+  // Partition-parallel scatter groups updates by destination bucket as it
+  // appends; the device shape appends flat and shuffles in its spill path.
+  using ScatterAppender = std::conditional_t<Store::kPartitionParallel,
+                                             BucketedAppender<Update>, ConcurrentAppender>;
 
   StreamingPhaseDriver(Store& store, const PhaseDriverOptions& opts)
       : store_(store),
@@ -104,6 +111,15 @@ class StreamingPhaseDriver {
         queues_(store.pool().num_threads()),
         accountant_(opts.progress_prefix, store.layout().num_partitions()) {
     store_.BindStats(&stats_);
+    if constexpr (Store::kPartitionParallel) {
+      // Scatter buckets by the top fanout bits of the partition id: the
+      // partitions themselves when they do not outnumber the fanout.
+      const uint32_t k = store_.layout().num_partitions();
+      const uint32_t fanout = store_.shuffle_fanout();
+      if (ShuffleStages(k, fanout) > 1) {
+        bucket_shift_ = CeilLog2(k) - CeilLog2(fanout);
+      }
+    }
     // Stores that can attribute their internal waits (spill-write stalls,
     // edge-scan and gather read stalls, in-spill shuffles) feed the same
     // accountant the driver charges its phase sections to.
@@ -281,10 +297,11 @@ class StreamingPhaseDriver {
     }
     store_.BeginIteration();
     if constexpr (Store::kPartitionParallel) {
-      scatter_appender_ = std::make_unique<ConcurrentAppender>(
-          store_.update_append_span(), sizeof(Update), store_.pool().num_threads());
+      scatter_appender_ = std::make_unique<ScatterAppender>(
+          store_.update_records(), store_.pool().num_threads(),
+          store_.layout().num_partitions() >> bucket_shift_, DefaultShuffleStageBytes());
     } else {
-      scatter_appender_ = std::make_unique<ConcurrentAppender>(
+      scatter_appender_ = std::make_unique<ScatterAppender>(
           store_.fill_span(), sizeof(Update), store_.pool().num_threads());
     }
   }
@@ -328,10 +345,11 @@ class StreamingPhaseDriver {
 
   // Streams one loaded span of the current partition's edges: spill when the
   // worst-case output may not fit (device shape), scatter the span in
-  // parallel, flush. Chunks may come from the store's own reader (solo runs)
-  // or from a scheduler's shared scan.
+  // parallel, flush the staging the spill check reads (device shape; bucket
+  // blocks flush when the iteration's scatter ends). Chunks may come from
+  // the store's own reader (solo runs) or from a scheduler's shared scan.
   void ScatterChunk(Algo& algo, const Edge* es, uint64_t n) {
-    ConcurrentAppender& appender = *scatter_appender_;
+    ScatterAppender& appender = *scatter_appender_;
     if constexpr (!Store::kPartitionParallel) {
       if (appender.bytes() + n * sizeof(Update) > store_.buffer_bytes()) {
         store_.SpillUpdates(algo, appender);
@@ -346,7 +364,9 @@ class StreamingPhaseDriver {
                                  scatter_part_base_, tid, appender);
         wasted.fetch_add(w, std::memory_order_relaxed);
       });
-      appender.FlushAll();
+      if constexpr (!Store::kPartitionParallel) {
+        appender.FlushAll();
+      }
     }
     cur_iter_.edges_streamed += n;
     cur_iter_.wasted_edges += wasted.load();
@@ -359,30 +379,48 @@ class StreamingPhaseDriver {
     }
   }
 
-  // Ends the scatter phase (tail spill or §3.2 memory gather), runs the full
-  // gather phase, and folds the iteration into stats().
+  // Ends the scatter phase (tail spill, §3.2 memory gather, or the shuffle
+  // levels below scatter's buckets), runs the full gather phase, and folds
+  // the iteration into stats().
   IterationStats FinishIterationScatter(Algo& algo) {
     XS_CHECK(in_iteration_scatter_);
-    ConcurrentAppender& appender = *scatter_appender_;
+    ScatterAppender& appender = *scatter_appender_;
     if constexpr (Store::kPartitionParallel) {
-      const PartitionLayout& layout = store_.layout();
       appender.FlushAll();
       cur_iter_.updates_generated = appender.records();
-      ShuffleOutput<Update> shuffled;
-      if (cur_iter_.updates_generated > 0) {
-        ScopedInterval si(streaming_);
-        obs::TraceSpan span("shuffle");
-        // Wall only: the global shuffle has no per-partition owner, and a
-        // phantom cell would dilute the skew index.
-        obs::PhaseTimer pt(&accountant_, obs::Phase::kShuffle, obs::kNoPartition,
-                           obs::PhaseTimerMode::kWallOnly);
-        shuffled = ShuffleRecords(
-            store_.pool(), store_.update_records(), store_.scratch_records(),
-            cur_iter_.updates_generated, layout.num_partitions(), opts_.shuffle_fanout,
-            [&layout](const Update& u) { return layout.PartitionOf(u.dst); });
-        store_.CommitUpdateShuffle(shuffled);
+      if (bucket_shift_ == 0) {
+        // The buckets are the partitions: gather reads each partition's
+        // blocks where scatter flushed them.
+        const Update* data = store_.update_records().data();
+        GatherPartitionParallel(algo, [&](uint32_t p, auto&& gather) {
+          for (const auto& slice : appender.chunks()) {
+            for (const ChunkRef& c : slice[p]) {
+              gather(data + c.begin, c.count);
+            }
+          }
+        });
+      } else {
+        const PartitionLayout& layout = store_.layout();
+        ShuffleOutput<Update> shuffled;
+        if (cur_iter_.updates_generated > 0) {
+          ScopedInterval si(streaming_);
+          obs::TraceSpan span("shuffle");
+          // Wall only: the shuffle levels have no per-partition owner, and
+          // a phantom cell would dilute the skew index.
+          obs::PhaseTimer pt(&accountant_, obs::Phase::kShuffle, obs::kNoPartition,
+                             obs::PhaseTimerMode::kWallOnly);
+          shuffled = ShuffleLevels(
+              store_.pool(), store_.update_records().data(), store_.scratch_records(),
+              appender.chunks(), layout.num_partitions(), store_.shuffle_fanout(),
+              CeilLog2(layout.num_partitions()) - bucket_shift_,
+              [&layout](const Update& u) { return layout.PartitionOf(u.dst); });
+        }
+        GatherPartitionParallel(algo, [&](uint32_t p, auto&& gather) {
+          for (const auto& slice : shuffled.slices) {
+            gather(shuffled.data + slice[p].begin, slice[p].count);
+          }
+        });
       }
-      GatherPartitionParallel(algo, shuffled);
       stats_.streaming_seconds += streaming_.TotalSeconds();
     } else {
       auto plan = store_.FinishScatter(algo, appender);
@@ -583,17 +621,22 @@ class StreamingPhaseDriver {
   static constexpr size_t kCheckpointChunkBytes = 4 * 1024 * 1024;
 
   // Shared scatter inner loop: streams one span of edges against the given
-  // state slice, appending emitted updates from thread `tid`. Returns the
-  // number of wasted edges (streamed, no update sent — Fig 12b).
+  // state slice, appending emitted updates from thread `tid` (to their
+  // destination bucket in the partition-parallel shape). Returns the number
+  // of wasted edges (streamed, no update sent — Fig 12b).
   uint64_t ScatterSpan(Algo& algo, const Edge* es, uint64_t count,
                        const VertexState* state_base, VertexId part_base, int tid,
-                       ConcurrentAppender& appender) {
+                       ScatterAppender& appender) {
     const PartitionLayout& layout = store_.layout();
     uint64_t wasted = 0;
     for (uint64_t i = 0; i < count; ++i) {
       Update out;
       if (algo.Scatter(state_base[layout.DenseId(es[i].src) - part_base], es[i], out)) {
-        appender.Append(tid, &out);
+        if constexpr (Store::kPartitionParallel) {
+          appender.Append(tid, layout.PartitionOf(out.dst) >> bucket_shift_, out);
+        } else {
+          appender.Append(tid, &out);
+        }
       } else {
         ++wasted;
       }
@@ -604,13 +647,14 @@ class StreamingPhaseDriver {
   // ---- Partition-parallel shape (memory store, §4) ------------------------
 
   // Scatter phase: stream every partition's edge chunks concurrently under
-  // work stealing, appending updates to the shared update buffer.
+  // work stealing, appending updates to the shared update buffer grouped by
+  // destination bucket.
   void ScatterAllPartitionsParallel(Algo& algo)
     requires(Store::kPartitionParallel)
   {
     const PartitionLayout& layout = store_.layout();
     ThreadPool& pool = store_.pool();
-    ConcurrentAppender& appender = *scatter_appender_;
+    ScatterAppender& appender = *scatter_appender_;
     const ShuffleOutput<Edge>& edge_chunks = store_.edge_chunks();
     std::atomic<uint64_t> edges_streamed{0};
     std::atomic<uint64_t> wasted{0};
@@ -647,10 +691,13 @@ class StreamingPhaseDriver {
     cur_iter_.wasted_edges = wasted.load();
   }
 
-  // Gather phase: stream each partition's update chunk into its vertex
+  // Gather phase: stream each partition's update chunks into its vertex
   // states; EndVertex runs per partition right after its gather (legal
   // because gather only touches the partition's own vertices).
-  void GatherPartitionParallel(Algo& algo, const ShuffleOutput<Update>& shuffled)
+  // for_each_chunk(p, gather) calls gather(updates, count) once per chunk of
+  // partition p.
+  template <typename ForEachChunk>
+  void GatherPartitionParallel(Algo& algo, ForEachChunk&& for_each_chunk)
     requires(Store::kPartitionParallel)
   {
     const PartitionLayout& layout = store_.layout();
@@ -670,15 +717,13 @@ class StreamingPhaseDriver {
           obs::PhaseTimer cell(&accountant_, obs::Phase::kGather, p,
                                obs::PhaseTimerMode::kCellOnly);
           if (cur_iter_.updates_generated > 0) {
-            for (const auto& slice : shuffled.slices) {
-              const ChunkRef& c = slice[p];
-              const Update* us = shuffled.data + c.begin;
-              for (uint64_t i = 0; i < c.count; ++i) {
+            for_each_chunk(p, [&](const Update* us, uint64_t count) {
+              for (uint64_t i = 0; i < count; ++i) {
                 if (algo.Gather(states[layout.DenseId(us[i].dst)], us[i])) {
                   ++local_changed;
                 }
               }
-            }
+            });
           }
           if constexpr (HasEndVertex<Algo>) {
             for (VertexId i = layout.Begin(p); i < layout.End(p); ++i) {
@@ -825,9 +870,12 @@ class StreamingPhaseDriver {
   obs::Gauge* progress_throughput_ = nullptr;
   WallTimer progress_clock_;  // driver lifetime, for cumulative bytes/s
 
+  // Partition-parallel shape: scatter's bucket is the destination partition
+  // shifted right by this (0 when the buckets are the partitions).
+  uint32_t bucket_shift_ = 0;
   // In-flight iteration state for the drivable scatter pieces (RunIteration
   // and the scheduler's shared-scan mode alike).
-  std::unique_ptr<ConcurrentAppender> scatter_appender_;
+  std::unique_ptr<ScatterAppender> scatter_appender_;
   IterationStats cur_iter_;
   WallTimer iter_timer_;
   IntervalAccumulator streaming_;

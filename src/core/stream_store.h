@@ -6,10 +6,12 @@
 // differ. The StreamingPhaseDriver (core/phase_runtime.h) owns the loop and
 // is parameterized over one of the two stores here:
 //
-//  * MemoryStreamStore — the in-memory engine's substrate (§4): three stream
-//    buffers sized for the whole edge/update list, edges pre-shuffled into
-//    per-partition chunks once at setup, all vertex state resident in one
-//    dense-ordered array. Never spills.
+//  * MemoryStreamStore — the in-memory engine's substrate (§4): an edge
+//    buffer pre-shuffled into per-partition chunks once at setup, an update
+//    buffer that scatter appends into already grouped by destination, a
+//    shuffle-scratch buffer only when the partitions outnumber the shuffle
+//    fanout, and all vertex state resident in one dense-ordered array.
+//    Never spills.
 //  * DeviceStreamStore — the out-of-core engine's substrate (§3): one edge,
 //    update and vertex file per streaming partition on StorageDevices,
 //    chunked StreamReader input, and a spill path that shuffles a filled
@@ -345,6 +347,7 @@ struct SharedEdgeChunks {
   StreamBuffer buffer;         // the buffer the shuffled edges ended up in
   ShuffleOutput<Edge> chunks;  // per-slice, per-partition index into it
   uint64_t num_edges = 0;
+  uint32_t shuffle_fanout = 2;  // the §4.2 fanout attached stores shuffle with
 };
 
 inline std::shared_ptr<const SharedEdgeChunks> MakeSharedEdgeChunks(
@@ -352,6 +355,7 @@ inline std::shared_ptr<const SharedEdgeChunks> MakeSharedEdgeChunks(
     const EdgeList& edges) {
   auto shared = std::make_shared<SharedEdgeChunks>();
   shared->num_edges = edges.size();
+  shared->shuffle_fanout = shuffle_fanout;
   size_t capacity = std::max<size_t>(1, edges.size()) * sizeof(Edge);
   shared->buffer = StreamBuffer(capacity);
   StreamBuffer scratch(capacity);
@@ -374,9 +378,14 @@ inline std::shared_ptr<const SharedEdgeChunks> MakeSharedEdgeChunks(
 // ---------------------------------------------------------------------------
 // MemoryStreamStore: chunked in-RAM edge/update streams (paper §4).
 //
-// Exactly three stream buffers, each big enough for the edge list or the
-// worst-case update list (one update per edge): one holds the partitioned
-// edges, one collects generated updates, one is shuffle scratch.
+// The edges sit in one stream buffer, shuffled into per-partition chunks at
+// setup. Scatter appends updates into a second buffer, sized for the worst
+// case (one update per edge), through per-thread blocks that each hold one
+// destination bucket (BucketedAppender). When the partition count is at
+// most the shuffle fanout the buckets are the partitions and gather reads
+// the update buffer in place. Otherwise the buckets are the first level of
+// the §4.2 shuffle tree, and the remaining levels need a third buffer as
+// shuffle scratch, which only then is allocated.
 template <EdgeCentricAlgorithm Algo>
 class MemoryStreamStore {
  public:
@@ -391,12 +400,11 @@ class MemoryStreamStore {
   // traditional engines and is charged to setup time by the engine facade.
   MemoryStreamStore(ThreadPool& pool, PartitionLayout layout, uint32_t shuffle_fanout,
                     const EdgeList& edges)
-      : pool_(pool), layout_(std::move(layout)) {
+      : pool_(pool), layout_(std::move(layout)), shuffle_fanout_(shuffle_fanout) {
     size_t record = std::max(sizeof(Edge), sizeof(Update));
     size_t capacity = std::max<size_t>(1, edges.size()) * record;
-    for (auto& buf : buffers_) {
-      buf = StreamBuffer(capacity);
-    }
+    buffers_[0] = StreamBuffer(capacity);
+    buffers_[1] = StreamBuffer(capacity);
     if (!edges.empty()) {
       std::memcpy(buffers_[0].data(), edges.data(), edges.size() * sizeof(Edge));
     }
@@ -406,30 +414,29 @@ class MemoryStreamStore {
                                   layout_.num_partitions(), shuffle_fanout,
                                   [this](const Edge& e) { return layout_.PartitionOf(e.src); });
     // Whichever buffer the edges landed in becomes the stable edge buffer;
-    // the other two serve as the update and shuffle buffers.
+    // the other collects updates.
     if (edge_chunks_.data == buffers_[0].template records<Edge>()) {
       update_buf_ = &buffers_[1];
     } else {
       update_buf_ = &buffers_[0];
     }
-    scratch_buf_ = &buffers_[2];
+    AllocateScratch(edges.size(), &buffers_[2]);
     states_.resize(layout_.num_vertices());
   }
 
   // Shared-edges mode (multi-job scheduler): the partitioned edges live in a
-  // SharedEdgeChunks owned by the scan source; this store allocates only its
-  // own update and shuffle-scratch buffers (sized for one update per edge)
-  // and its own vertex states.
+  // SharedEdgeChunks owned by the scan source, which also fixed the shuffle
+  // fanout; this store allocates only its own update buffer (sized for one
+  // update per edge), shuffle scratch when needed, and vertex states.
   MemoryStreamStore(ThreadPool& pool, PartitionLayout layout,
                     std::shared_ptr<const SharedEdgeChunks> shared_edges)
       : pool_(pool), layout_(std::move(layout)), shared_edges_(std::move(shared_edges)) {
     XS_CHECK(shared_edges_ != nullptr);
     edge_chunks_ = shared_edges_->chunks;
-    size_t capacity = std::max<uint64_t>(1, shared_edges_->num_edges) * sizeof(Update);
-    buffers_[0] = StreamBuffer(capacity);
-    buffers_[1] = StreamBuffer(capacity);
+    shuffle_fanout_ = shared_edges_->shuffle_fanout;
+    buffers_[0] = StreamBuffer(std::max<uint64_t>(1, shared_edges_->num_edges) * sizeof(Update));
     update_buf_ = &buffers_[0];
-    scratch_buf_ = &buffers_[1];
+    AllocateScratch(shared_edges_->num_edges, &buffers_[1]);
     states_.resize(layout_.num_vertices());
   }
 
@@ -446,6 +453,10 @@ class MemoryStreamStore {
 
   ThreadPool& pool() { return pool_; }
   const PartitionLayout& layout() const { return layout_; }
+  // The §4.2 shuffler fanout: the setup shuffle's, and the number of
+  // destination buckets scatter groups updates into when it is below the
+  // partition count.
+  uint32_t shuffle_fanout() const { return shuffle_fanout_; }
 
   // Vertex residency: everything lives in one array in the layout's dense
   // order, so each partition's states stay contiguous.
@@ -465,25 +476,32 @@ class MemoryStreamStore {
   // Scatter inputs: the setup shuffle's per-slice, per-partition chunks.
   const ShuffleOutput<Edge>& edge_chunks() const { return edge_chunks_; }
 
-  // Scatter output: the shared append target, sized for one update per edge.
-  std::span<std::byte> update_append_span() { return update_buf_->span(); }
-  Update* update_records() { return update_buf_->template records<Update>(); }
-  Update* scratch_records() { return scratch_buf_->template records<Update>(); }
-
-  // Keeps buffer roles consistent after the driver's update shuffle: the
-  // buffer the updates ended in is consumed by gather, then becomes scratch;
-  // the other is the next append target.
-  void CommitUpdateShuffle(const ShuffleOutput<Update>& shuffled) {
-    if (shuffled.data == scratch_buf_->template records<Update>()) {
-      std::swap(update_buf_, scratch_buf_);
-    }
+  // Scatter output: the bucketed append target, one update per edge.
+  std::span<Update> update_records() {
+    return {update_buf_->template records<Update>(),
+            update_buf_->template capacity_records<Update>()};
+  }
+  // Shuffle scratch for the levels below the first; null when the
+  // partition count does not exceed the fanout.
+  Update* scratch_records() {
+    return scratch_buf_ != nullptr ? scratch_buf_->template records<Update>() : nullptr;
   }
 
  private:
+  void AllocateScratch(uint64_t num_edges, StreamBuffer* buf) {
+    if (layout_.num_partitions() > shuffle_fanout_) {
+      *buf = StreamBuffer(std::max<uint64_t>(1, num_edges) * sizeof(Update));
+      scratch_buf_ = buf;
+    }
+  }
+
   ThreadPool& pool_;
   PartitionLayout layout_;
-  // Owns the edge buffer in solo mode (buffers_[0..2]); in shared-edges mode
-  // only buffers_[0..1] are allocated and the edges live in shared_edges_.
+  uint32_t shuffle_fanout_ = 2;
+  // Solo mode: buffers_[0..1] hold the edges and the updates (which is
+  // which depends on where the setup shuffle landed), buffers_[2] is the
+  // optional scratch. Shared-edges mode: updates in buffers_[0], optional
+  // scratch in buffers_[1]. Unallocated buffers hold no bytes.
   StreamBuffer buffers_[3];
   StreamBuffer* update_buf_ = nullptr;
   StreamBuffer* scratch_buf_ = nullptr;

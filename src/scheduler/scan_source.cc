@@ -4,7 +4,9 @@
 #include <utility>
 
 #include "buffers/stream_buffer.h"
+#include "core/sizing.h"
 #include "storage/stream_io.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace xstream {
@@ -73,9 +75,14 @@ uint64_t DeviceScanSource::PartitionEdgeBytes(uint32_t s) const {
 }
 
 MemoryScanSource::MemoryScanSource(ThreadPool& pool, PartitionLayout layout,
-                                   const EdgeList& edges, uint32_t shuffle_fanout)
+                                   const EdgeList& edges)
     : pool_(pool), layout_(std::move(layout)) {
-  shared_ = MakeSharedEdgeChunks(pool_, layout_, shuffle_fanout, edges);
+  // The in-memory engine's auto fanout (§4.2): capped at the partition
+  // count, so attached jobs' scatter buckets are their partitions and no
+  // shuffle pass runs per iteration.
+  uint32_t fanout =
+      ChooseShuffleFanout(layout_.num_partitions(), PerCoreCacheBytes(), CachelineBytes());
+  shared_ = MakeSharedEdgeChunks(pool_, layout_, fanout, edges);
 }
 
 void MemoryScanSource::ForEachEdgeChunk(uint32_t s,

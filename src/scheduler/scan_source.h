@@ -140,11 +140,12 @@ class DeviceScanSource : public ScanSource {
 // In-RAM scan source: the edges are shuffled into per-partition chunks once
 // (SharedEdgeChunks); attached MemoryStreamStores reference the same chunk
 // array, and the shared scan walks it partition by partition so N jobs make
-// one pass through memory instead of N.
+// one pass through memory instead of N. The source picks the shuffle fanout
+// from the host's cache, as InMemoryEngine does, and every attached store
+// uses it.
 class MemoryScanSource : public ScanSource {
  public:
-  MemoryScanSource(ThreadPool& pool, PartitionLayout layout, const EdgeList& edges,
-                   uint32_t shuffle_fanout = 4);
+  MemoryScanSource(ThreadPool& pool, PartitionLayout layout, const EdgeList& edges);
 
   const PartitionLayout& layout() const override { return layout_; }
   ThreadPool& pool() override { return pool_; }

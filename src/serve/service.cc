@@ -31,10 +31,12 @@ obs::HttpResponse JsonError(int status, const std::string& message,
   return resp;
 }
 
-// Validates and converts one POST body into a JobSpec. The factory's own
-// ParseJobSpec aborts on bad algos (CLI semantics); a service must answer
-// 400 instead, so the validation lives here.
-bool SpecFromJson(const JsonValue& body, JobSpec* spec, std::string* error) {
+// Validates and converts one POST body into a JobSpec for a graph of
+// `num_vertices` vertices. The factory's own ParseJobSpec aborts on bad
+// algos (CLI semantics); a service must answer 400 instead, so the
+// validation lives here.
+bool SpecFromJson(const JsonValue& body, uint64_t num_vertices, JobSpec* spec,
+                  std::string* error) {
   const JsonValue* algo = body.Get("algo");
   if (algo == nullptr || !algo->is_string()) {
     *error = "missing required string field \"algo\"";
@@ -61,7 +63,16 @@ bool SpecFromJson(const JsonValue& body, JobSpec* spec, std::string* error) {
         return false;
       }
       if (key == "root" || key == "src") {
-        spec->root = static_cast<VertexId>(value.as_int());
+        // A cast would wrap negatives and truncate fractions, and a root
+        // past the graph would run as an empty traversal.
+        double root = value.as_double();
+        if (!(root >= 0.0) || root != std::floor(root) ||
+            root >= static_cast<double>(num_vertices)) {
+          *error = "param \"" + key + "\" must be an integer vertex id in [0, " +
+                   std::to_string(num_vertices) + ")";
+          return false;
+        }
+        spec->root = static_cast<VertexId>(root);
       } else if (key == "iterations" || key == "iters") {
         spec->iterations = static_cast<uint64_t>(value.as_int());
       } else if (key == "seed") {
@@ -323,7 +334,7 @@ obs::HttpResponse GraphService::SubmitJob(const obs::HttpRequest& request) {
   }
   JobSpec spec;
   std::string spec_error;
-  if (!SpecFromJson(body, &spec, &spec_error)) {
+  if (!SpecFromJson(body, graph->info.num_vertices, &spec, &spec_error)) {
     return JsonError(400, spec_error);
   }
   std::string tenant;

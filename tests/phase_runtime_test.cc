@@ -7,8 +7,11 @@
 // of the read chunk.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "algorithms/algorithms.h"
@@ -22,6 +25,7 @@
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
+#include "partitioning/partitioner.h"
 #include "storage/io_executor.h"
 #include "storage/sim_device.h"
 #include "util/env.h"
@@ -387,6 +391,45 @@ TEST(PhaseRuntimeTest, CompressedSpillsRouteSameVolumeWithFewerDeviceBytes) {
   EXPECT_LT(packed_stats.bytes_written, plain_stats.bytes_written);
 }
 
+// ---- Bucketed scatter (in-memory shape) --------------------------------------
+//
+// Scatter groups updates by destination bucket as it appends: the
+// partitions themselves when K <= fanout, the first shuffle-tree level
+// otherwise (property_test's InMemConfigSweep checks both against the
+// oracles).
+
+// With one thread both bucket shapes keep each partition's updates in
+// append order, so PageRank's float sums run in the same order and the
+// ranks agree bit for bit whether or not shuffle levels run after scatter.
+TEST(BucketedScatterTest, PageRankBitIdenticalWithAndWithoutShuffleLevels) {
+  EdgeList edges = TestGraph(19);
+  GraphInfo info = ScanEdges(edges);
+  for (const char* name : {"range", "2ps"}) {
+    SCOPED_TRACE(name);
+    auto ranks = [&](uint32_t fanout) {
+      std::unique_ptr<Partitioner> partitioner;
+      InMemoryConfig config;
+      config.threads = 1;
+      config.num_partitions = 16;
+      config.shuffle_fanout = fanout;
+      if (std::string(name) != "range") {
+        partitioner = MakePartitioner(name);
+        config.partitioner = partitioner.get();
+      }
+      InMemoryEngine<PageRankAlgorithm> engine(config, edges, info.num_vertices);
+      return RunPageRank(engine, 5).ranks;
+    };
+    std::vector<float> bucketed = ranks(16);  // K <= fanout: no shuffle pass
+    for (uint32_t fanout : {2u, 4u}) {       // K > fanout: 3 and 1 levels after scatter
+      std::vector<float> shuffled = ranks(fanout);
+      ASSERT_EQ(shuffled.size(), bucketed.size());
+      EXPECT_EQ(std::memcmp(shuffled.data(), bucketed.data(), bucketed.size() * sizeof(float)),
+                0)
+          << "fanout " << fanout;
+    }
+  }
+}
+
 TEST(HybridStoreTest, WccMatchesReferenceAtBudgetsZeroHalfFull) {
   EdgeList edges = TestGraph(23);
   GraphInfo info = ScanEdges(edges);
@@ -634,7 +677,8 @@ class FailingDevice : public SimDevice {
     return SimDevice::Append(f, data);
   }
 
-  bool fail_appends = false;
+  // Set by the test thread, read on the device's I/O thread.
+  std::atomic<bool> fail_appends{false};
 };
 
 TEST(StreamWriterCloseTest, ClosePropagatesAsyncWriteErrors) {

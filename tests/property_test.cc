@@ -6,6 +6,8 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "algorithms/algorithms.h"
 #include "core/inmem_engine.h"
@@ -13,6 +15,7 @@
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
+#include "partitioning/partitioner.h"
 #include "storage/sim_device.h"
 
 namespace xstream {
@@ -182,6 +185,50 @@ TEST_P(InMemConfigSweep, SsspCorrectUnderAllConfigs) {
     if (!std::isinf(expected[v])) {
       ASSERT_NEAR(r.dist[v], expected[v], 1e-3) << "vertex " << v;
     }
+  }
+}
+
+// Scatter appends into per-destination buckets: the partitions when K <=
+// fanout (no shuffle pass), the first shuffle-tree level otherwise. Either
+// way, under range and 2ps layouts, the results must match the oracles.
+TEST_P(InMemConfigSweep, WccBfsPageRankCorrectUnderAllConfigs) {
+  auto [threads, partitions, fanout] = GetParam();
+  RmatParams params;
+  params.scale = 9;
+  params.edge_factor = 8;
+  params.undirected = true;
+  params.seed = 47;
+  EdgeList edges = GenerateRmat(params);
+  GraphInfo info = ScanEdges(edges);
+  ReferenceGraph g(edges, info.num_vertices);
+  std::vector<VertexId> wcc_expected = ReferenceWcc(edges, info.num_vertices);
+  std::vector<uint32_t> bfs_expected = ReferenceBfsLevels(g, 0);
+  std::vector<double> pr_expected = ReferencePageRank(g, 5);
+
+  for (const std::string layout : {"range", "2ps"}) {
+    SCOPED_TRACE(layout);
+    std::unique_ptr<Partitioner> partitioner =
+        layout == "range" ? nullptr : MakePartitioner(layout);
+    InMemoryConfig config;
+    config.threads = threads;
+    config.num_partitions = partitions;
+    config.shuffle_fanout = fanout;
+    config.partitioner = partitioner.get();
+    InMemoryEngine<WccAlgorithm> wcc_engine(config, edges, info.num_vertices);
+    InMemoryEngine<BfsAlgorithm> bfs_engine(config, edges, info.num_vertices);
+    InMemoryEngine<PageRankAlgorithm> pr_engine(config, edges, info.num_vertices);
+    WccResult wcc = RunWcc(wcc_engine);
+    BfsResult bfs = RunBfs(bfs_engine, 0);
+    PageRankResult pr = RunPageRank(pr_engine, 5);
+    for (uint64_t v = 0; v < info.num_vertices; ++v) {
+      ASSERT_EQ(wcc.labels[v], wcc_expected[v]) << "wcc, vertex " << v;
+      ASSERT_EQ(bfs.levels[v], bfs_expected[v]) << "bfs, vertex " << v;
+      ASSERT_NEAR(pr.ranks[v], pr_expected[v], 1e-4 * pr_expected[v] + 1e-9)
+          << "pagerank, vertex " << v;
+    }
+    // Every update lands in exactly one bucket and is gathered once.
+    EXPECT_EQ(wcc.stats.wasted_edges + wcc.stats.updates_generated, wcc.stats.edges_streamed);
+    EXPECT_EQ(pr.stats.updates_generated, pr.stats.edges_streamed);
   }
 }
 

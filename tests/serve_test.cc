@@ -342,6 +342,24 @@ TEST(ServeTest, MalformedAndUnknownRequestsGetProperStatusCodes) {
                     R"({"graph":"g","algo":"bfs","params":{"hops":3}})")
                 .status,
             400);
+  // Roots must be integer vertex ids of the target graph: ids past |V|,
+  // negatives (which a cast would wrap) and fractions (which it would
+  // truncate) → 400; the last vertex is still a valid root.
+  const uint64_t n = ScanEdges(h.edges).num_vertices;
+  for (const std::string& root :
+       {std::to_string(n), std::string("99999999"), std::string("4294967296"),
+        std::string("-1"), std::string("1.5"), std::to_string(n - 1) + ".25"}) {
+    for (const char* key : {"root", "src"}) {
+      HttpReply reply = Request(
+          h.port, "POST", "/v1/jobs",
+          std::string(R"({"graph":"g","algo":"bfs","params":{")") + key + "\":" + root + "}}");
+      EXPECT_EQ(reply.status, 400) << key << "=" << root << ": " << reply.body;
+      EXPECT_NE(reply.body.find("vertex id"), std::string::npos) << reply.body;
+    }
+  }
+  h.WaitState(h.Submit(R"({"graph":"g","algo":"sssp","params":{"src":)" + std::to_string(n - 1) +
+                       "}}"),
+              "done");
   // Unknown routes and malformed ids → 404; wrong methods → 405.
   EXPECT_EQ(Get(h.port, "/v1/nope").status, 404);
   EXPECT_EQ(Get(h.port, "/v1/jobs/abc").status, 404);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "buffers/shuffler.h"
+#include "threads/concurrent_appender.h"
 #include "threads/thread_pool.h"
 #include "util/rng.h"
 
@@ -30,22 +31,11 @@ std::vector<Rec> MakeRecords(uint64_t count, uint32_t num_partitions, uint64_t s
   return recs;
 }
 
-// Runs a shuffle and checks (a) multiset preservation, (b) correct grouping.
-void CheckShuffle(int threads, uint64_t count, uint32_t partitions, uint32_t fanout,
-                  uint64_t seed) {
-  SCOPED_TRACE("threads=" + std::to_string(threads) + " count=" + std::to_string(count) +
-               " partitions=" + std::to_string(partitions) + " fanout=" + std::to_string(fanout));
-  ThreadPool pool(threads);
-  std::vector<Rec> input = MakeRecords(count, partitions, seed);
-  std::vector<Rec> a = input;
-  a.resize(count + 1);  // shuffler only touches [0, count)
-  std::vector<Rec> b(count + 1);
-
-  auto out = ShuffleRecords(pool, a.data(), b.data(), count, partitions, fanout,
-                            [](const Rec& r) { return r.key; });
-
+// Checks a shuffle's output: (a) multiset preservation, (b) correct grouping.
+void ExpectGroupedPermutation(const ShuffleOutput<Rec>& out, const std::vector<Rec>& input,
+                              int threads, uint32_t partitions) {
   ASSERT_EQ(out.slices.size(), static_cast<size_t>(threads));
-  EXPECT_EQ(out.TotalRecords(), count);
+  EXPECT_EQ(out.TotalRecords(), input.size());
 
   // Grouping: within each slice, chunk p contains only key == p.
   std::multiset<std::pair<uint32_t, uint32_t>> seen;
@@ -66,6 +56,22 @@ void CheckShuffle(int threads, uint64_t count, uint32_t partitions, uint32_t fan
     expected.insert({r.key, r.payload});
   }
   EXPECT_EQ(seen, expected);
+}
+
+// Runs a shuffle and checks its output.
+void CheckShuffle(int threads, uint64_t count, uint32_t partitions, uint32_t fanout,
+                  uint64_t seed) {
+  SCOPED_TRACE("threads=" + std::to_string(threads) + " count=" + std::to_string(count) +
+               " partitions=" + std::to_string(partitions) + " fanout=" + std::to_string(fanout));
+  ThreadPool pool(threads);
+  std::vector<Rec> input = MakeRecords(count, partitions, seed);
+  std::vector<Rec> a = input;
+  a.resize(count + 1);  // shuffler only touches [0, count)
+  std::vector<Rec> b(count + 1);
+
+  auto out = ShuffleRecords(pool, a.data(), b.data(), count, partitions, fanout,
+                            [](const Rec& r) { return r.key; });
+  ExpectGroupedPermutation(out, input, threads, partitions);
 }
 
 TEST(ShufflerTest, SingleThreadSingleStage) { CheckShuffle(1, 1000, 7, 16, 1); }
@@ -197,6 +203,38 @@ TEST(ShufflerTest, StageCountMatchesCeilLogFanout) {
   auto out1 = ShuffleRecords(pool, recs.data(), b.data(), 1000, 64u, 64u,
                              [](const Rec& r) { return r.key; });
   EXPECT_EQ(out1.stages_run, 1);
+}
+
+// The in-memory engine's path: scatter appends records into the tree's
+// top-level buckets (BucketedAppender), then ShuffleLevels runs the levels
+// below from those per-thread chunk lists.
+void CheckBucketedThenLevels(int threads, uint64_t count, uint32_t partitions, uint32_t fanout,
+                             uint64_t seed) {
+  SCOPED_TRACE("threads=" + std::to_string(threads) + " partitions=" +
+               std::to_string(partitions) + " fanout=" + std::to_string(fanout));
+  ThreadPool pool(threads);
+  std::vector<Rec> input = MakeRecords(count, partitions, seed);
+  std::vector<Rec> a(count), b(count);
+  const uint32_t shift = CeilLog2(partitions) - CeilLog2(fanout);
+  // A 256-byte stage budget keeps blocks tiny, so nodes span many chunks.
+  BucketedAppender<Rec> app(a, threads, fanout, 256);
+  pool.ParallelForTid(0, count, 97, [&](int tid, uint64_t lo, uint64_t hi) {
+    for (uint64_t i = lo; i < hi; ++i) {
+      app.Append(tid, input[i].key >> shift, input[i]);
+    }
+  });
+  app.FlushAll();
+  auto out = ShuffleLevels(pool, a.data(), b.data(), app.chunks(), partitions, fanout,
+                           CeilLog2(fanout), [](const Rec& r) { return r.key; });
+  EXPECT_EQ(out.stages_run, ShuffleStages(partitions, fanout) - 1);
+  ExpectGroupedPermutation(out, input, threads, partitions);
+}
+
+TEST(ShuffleLevelsTest, OneLevelBelowBucketedTop) { CheckBucketedThenLevels(4, 10000, 16, 4, 31); }
+
+TEST(ShuffleLevelsTest, ManyLevelsBelowBucketedTop) {
+  CheckBucketedThenLevels(1, 5000, 256, 2, 32);  // 7 levels after scatter
+  CheckBucketedThenLevels(3, 8000, 1024, 8, 33);
 }
 
 TEST(CeilLog2Test, Values) {

@@ -207,5 +207,93 @@ TEST(ConcurrentAppenderTest, OverflowAborts) {
   EXPECT_DEATH(app.FlushAll(), "appender overflow");
 }
 
+// A record that remembers its bucket and who appended it, in what order.
+struct Tagged {
+  uint32_t bucket;
+  uint32_t tid;
+  uint32_t seq;  // per-thread append index
+};
+
+TEST(BucketedAppenderTest, ConcurrentBucketsAreExactAndDisjoint) {
+  constexpr int kThreads = 4;
+  constexpr uint32_t kBuckets = 8;
+  constexpr uint32_t kPerThread = 50000;  // many block flushes per bucket
+  const uint64_t total = uint64_t{kThreads} * kPerThread;
+  std::vector<Tagged> target(total);  // exactly the records appended
+  // A 512-byte stage budget gives 64-byte blocks: constant flushing and
+  // contention on the shared reservation.
+  BucketedAppender<Tagged> app(target, kThreads, kBuckets, 512);
+  ThreadPool pool(kThreads);
+  pool.RunOnAll([&](int tid) {
+    for (uint32_t i = 0; i < kPerThread; ++i) {
+      Tagged r{(i * 2654435761u + static_cast<uint32_t>(tid)) % kBuckets,
+               static_cast<uint32_t>(tid), i};
+      app.Append(tid, r.bucket, r);
+    }
+  });
+  app.FlushAll();
+  ASSERT_EQ(app.records(), total);
+
+  std::vector<uint8_t> covered(total, 0);
+  std::vector<uint8_t> seen(total, 0);
+  ASSERT_EQ(app.chunks().size(), static_cast<size_t>(kThreads));
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(app.chunks()[t].size(), kBuckets);
+    for (uint32_t b = 0; b < kBuckets; ++b) {
+      int64_t last_seq = -1;
+      for (const ChunkRef& c : app.chunks()[t][b]) {
+        ASSERT_GT(c.count, 0u);
+        ASSERT_LE(c.begin + c.count, total);
+        for (uint64_t i = c.begin; i < c.begin + c.count; ++i) {
+          ASSERT_EQ(covered[i]++, 0) << "chunks overlap at record " << i;
+          const Tagged& r = target[i];
+          ASSERT_EQ(r.bucket, b) << "record in a chunk of the wrong bucket";
+          ASSERT_EQ(r.tid, static_cast<uint32_t>(t)) << "chunk listed under the wrong thread";
+          // One thread's records keep their append order within a bucket.
+          ASSERT_GT(static_cast<int64_t>(r.seq), last_seq);
+          last_seq = r.seq;
+          ++seen[uint64_t{r.tid} * kPerThread + r.seq];
+        }
+      }
+    }
+  }
+  for (uint64_t i = 0; i < total; ++i) {
+    ASSERT_EQ(covered[i], 1) << "record slot " << i << " not in any chunk";
+    ASSERT_EQ(seen[i], 1) << "record " << i << " lost or duplicated";
+  }
+}
+
+TEST(BucketedAppenderTest, SingleThreadChunksPreserveAppendOrder) {
+  std::vector<uint32_t> target(1000);
+  BucketedAppender<uint32_t> app(target, 1, 3, 1 << 20);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    app.Append(0, i % 3, i);
+  }
+  app.FlushAll();
+  EXPECT_EQ(app.records(), 1000u);
+  for (uint32_t b = 0; b < 3; ++b) {
+    std::vector<uint32_t> got;
+    for (const ChunkRef& c : app.chunks()[0][b]) {
+      got.insert(got.end(), target.begin() + c.begin, target.begin() + c.begin + c.count);
+    }
+    std::vector<uint32_t> want;
+    for (uint32_t i = b; i < 1000; i += 3) {
+      want.push_back(i);
+    }
+    EXPECT_EQ(got, want) << "bucket " << b;
+  }
+}
+
+TEST(BucketedAppenderTest, OverflowAborts) {
+  std::vector<uint32_t> target(2);  // room for 2 records
+  BucketedAppender<uint32_t> app(target, 1, 2, 1 << 20);
+  uint32_t v = 1;
+  app.Append(0, 0, v);
+  app.Append(0, 1, v);
+  app.FlushAll();
+  app.Append(0, 1, v);
+  EXPECT_DEATH(app.FlushAll(), "appender overflow");
+}
+
 }  // namespace
 }  // namespace xstream
