@@ -8,7 +8,8 @@
 //
 // StreamBuffer here is the chunk array plus a typed view; the index arrays
 // live in ShuffleOutput (per slice, per partition — paper Fig 7) because
-// they are (re)built by every shuffle.
+// they are (re)built by every shuffle, or, for records appended by
+// destination bucket, in BucketedAppender's per-thread chunk lists.
 #ifndef XSTREAM_BUFFERS_STREAM_BUFFER_H_
 #define XSTREAM_BUFFERS_STREAM_BUFFER_H_
 
