@@ -9,7 +9,7 @@
 #include "algorithms/algorithms.h"
 #include "bench_common.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 
 namespace xstream {
 namespace {
@@ -39,15 +39,15 @@ OocOutcome OocWcc(const EdgeList& edges, int threads, bool vertex_opt, bool upda
   SimRaidPair pair = SimRaidPair::Make("ssd", DeviceProfile::Ssd());
   WriteEdgeFile(*pair.raid, "input", edges);
   GraphInfo info = ScanEdges(edges);
-  OutOfCoreConfig config;
+  HybridConfig config;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   config.io_unit_bytes = io_unit;
   config.allow_vertex_memory_opt = vertex_opt;
   config.allow_update_memory_opt = update_opt;
   config.eager_update_truncate = eager_truncate;
-  OutOfCoreEngine<WccAlgorithm> engine(config, *pair.raid, *pair.raid, *pair.raid, "input",
-                                       info);
+  HybridEngine<WccAlgorithm> engine(config, *pair.raid, *pair.raid, *pair.raid, "input",
+                                    info);
   WccResult r = RunWcc(engine);
   return OocOutcome{r.stats.RuntimeSeconds(), r.stats.bytes_read + r.stats.bytes_written,
                     r.stats.peak_update_bytes};

@@ -13,7 +13,7 @@
 #include "algorithms/algorithms.h"
 #include "bench_common.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/datasets.h"
 
 namespace xstream {
@@ -136,19 +136,20 @@ struct MakeOoc {
   uint64_t budget;
 
   template <typename Algo>
-  std::unique_ptr<OutOfCoreEngine<Algo>> operator()(const EdgeList& edges, uint64_t n,
-                                                    const char* prefix) const {
+  std::unique_ptr<HybridEngine<Algo>> operator()(const EdgeList& edges, uint64_t n,
+                                                 const char* prefix) const {
     std::string input = std::string("input.") + prefix;
     WriteEdgeFile(*pair->raid, input, edges);
     GraphInfo info = ScanEdges(edges);
     info.num_vertices = n;
-    OutOfCoreConfig config;
+    HybridConfig config;
+    config.allow_vertex_memory_opt = true;
     config.threads = threads;
-    config.memory_budget_bytes = budget;
+    config.streaming_budget_bytes = budget;
     config.io_unit_bytes = 256 << 10;  // scaled with the reduced graphs
     config.file_prefix = prefix;
-    return std::make_unique<OutOfCoreEngine<Algo>>(config, *pair->raid, *pair->raid,
-                                                   *pair->raid, input, info);
+    return std::make_unique<HybridEngine<Algo>>(config, *pair->raid, *pair->raid,
+                                                *pair->raid, input, info);
   }
 };
 

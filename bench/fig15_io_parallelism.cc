@@ -3,7 +3,7 @@
 // disks cut runtime up to ~30% vs one disk; RAID-0 cuts it to ~50-60%.
 #include "algorithms/algorithms.h"
 #include "bench_common.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 
 namespace xstream {
 namespace {
@@ -42,11 +42,12 @@ double RunOn(const std::string& mode, const DeviceProfile& profile, const EdgeLi
   WriteEdgeFile(*d.edges, "input", edges);
   GraphInfo info = ScanEdges(edges);
   info.num_vertices = n;
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   config.io_unit_bytes = 256 << 10;
-  OutOfCoreEngine<Algo> engine(config, *d.edges, *d.updates, *d.edges, "input", info);
+  HybridEngine<Algo> engine(config, *d.edges, *d.updates, *d.edges, "input", info);
   run(engine);
   engine.FinalizeStats();
   return engine.stats().RuntimeSeconds();

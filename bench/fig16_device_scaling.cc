@@ -5,7 +5,7 @@
 #include "algorithms/algorithms.h"
 #include "bench_common.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 
 namespace xstream {
 namespace {
@@ -27,11 +27,12 @@ double OnDevice(const DeviceProfile& profile, const EdgeList& edges, uint64_t n,
   WriteEdgeFile(*pair.raid, "input", edges);
   GraphInfo info = ScanEdges(edges);
   info.num_vertices = n;
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   config.io_unit_bytes = 256 << 10;
-  OutOfCoreEngine<Algo> engine(config, *pair.raid, *pair.raid, *pair.raid, "input", info);
+  HybridEngine<Algo> engine(config, *pair.raid, *pair.raid, *pair.raid, "input", info);
   run(engine);
   engine.FinalizeStats();
   return engine.stats().RuntimeSeconds();

@@ -5,7 +5,7 @@
 // count, and stays well below a from-scratch full-graph run until the end.
 #include "algorithms/wcc.h"
 #include "bench_common.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/datasets.h"
 
 int main(int argc, char** argv) {
@@ -29,11 +29,12 @@ int main(int argc, char** argv) {
   SimRaidPair ssd = SimRaidPair::Make("ssd", DeviceProfile::Ssd());
   // Start from an empty edge file; vertices are known up front.
   WriteEdgeFile(*ssd.raid, "input", {});
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   config.io_unit_bytes = 256 << 10;
-  OutOfCoreEngine<WccAlgorithm> engine(config, *ssd.raid, *ssd.raid, *ssd.raid, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, *ssd.raid, *ssd.raid, *ssd.raid, "input", info);
 
   uint64_t per_batch = sym.size() / static_cast<uint64_t>(batches);
   Table table({"Accumulated edges", "Ingest (s)", "Recompute WCC (s)", "Components"});

@@ -11,7 +11,7 @@
 #include "baselines/graphchi_like.h"
 #include "baselines/psw_programs.h"
 #include "bench_common.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/datasets.h"
 
 namespace xstream {
@@ -34,13 +34,14 @@ double XStreamRun(const EdgeList& edges, uint64_t n, int threads, uint64_t budge
   WriteEdgeFile(*pair.raid, "input", edges);
   GraphInfo info = ScanEdges(edges);
   info.num_vertices = n;
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   // The I/O unit scales down with the constrained budget (the §3.4
   // inequality needs 5*S*K to fit alongside a partition's vertex state).
   config.io_unit_bytes = 32 << 10;
-  OutOfCoreEngine<Algo> engine(config, *pair.raid, *pair.raid, *pair.raid, "input", info);
+  HybridEngine<Algo> engine(config, *pair.raid, *pair.raid, *pair.raid, "input", info);
   *partitions = engine.num_partitions();
   run(engine);
   engine.FinalizeStats();

@@ -8,7 +8,7 @@
 #include "baselines/graphchi_like.h"
 #include "baselines/psw_programs.h"
 #include "bench_common.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/datasets.h"
 
 namespace xstream {
@@ -87,15 +87,16 @@ int main(int argc, char** argv) {
     WriteEdgeFile(*pair.raid, "input", edges);
     pair.a->TakeTimeline();
     pair.b->TakeTimeline();
-    OutOfCoreConfig config;
+    HybridConfig config;
+    config.allow_vertex_memory_opt = true;
     config.threads = threads;
-    config.memory_budget_bytes = budget;
+    config.streaming_budget_bytes = budget;
     config.io_unit_bytes = 256 << 10;
     // Disable the in-memory shortcut so update traffic reaches the device,
     // as it would at paper scale.
     config.allow_update_memory_opt = false;
-    OutOfCoreEngine<PageRankAlgorithm> engine(config, *pair.raid, *pair.raid, *pair.raid,
-                                              "input", info);
+    HybridEngine<PageRankAlgorithm> engine(config, *pair.raid, *pair.raid, *pair.raid,
+                                           "input", info);
     RunPageRank(engine, 5);
     xs = Summarize(pair.a->TakeTimeline(), pair.b->TakeTimeline(), 0.01);
   }

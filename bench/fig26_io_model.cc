@@ -7,7 +7,7 @@
 
 #include "algorithms/wcc.h"
 #include "bench_common.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "iomodel/io_model.h"
 
 namespace xstream {
@@ -68,13 +68,14 @@ int main(int argc, char** argv) {
   GraphInfo info = ScanEdges(edges);
   SimRaidPair pair = SimRaidPair::Make("v", DeviceProfile::Ssd());
   WriteEdgeFile(*pair.raid, "input", edges);
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = static_cast<int>(opts.GetInt("threads", NumCores()));
-  config.memory_budget_bytes = 2 << 20;
+  config.streaming_budget_bytes = 2 << 20;
   config.io_unit_bytes = 64 << 10;
   config.allow_update_memory_opt = false;  // force real update traffic
-  OutOfCoreEngine<WccAlgorithm> engine(config, *pair.raid, *pair.raid, *pair.raid, "input",
-                                       info);
+  HybridEngine<WccAlgorithm> engine(config, *pair.raid, *pair.raid, *pair.raid, "input",
+                                    info);
   WccResult r = RunWcc(engine);
 
   // Bound in bytes: D*(V+E) + (E+U)*log_{M/B}(K) per the X-Stream row, with
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
       static_cast<double>(r.stats.updates_generated) * sizeof(WccAlgorithm::Update);
   double log_term =
       std::max(1.0, std::log2(std::max<double>(2, engine.num_partitions())) /
-                        std::log2(static_cast<double>(config.memory_budget_bytes) /
+                        std::log2(static_cast<double>(config.streaming_budget_bytes) /
                                   config.io_unit_bytes));
   double bound = d * (v_bytes + e_bytes) + (u_bytes + e_bytes) * (1.0 + log_term);
   double measured = static_cast<double>(r.stats.bytes_read + r.stats.bytes_written);

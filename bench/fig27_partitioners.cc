@@ -9,7 +9,7 @@
 // generator numbering).
 #include "bench_common.h"
 #include "algorithms/algorithms.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/transforms.h"
 #include "partitioning/partitioner.h"
 #include "partitioning/quality.h"
@@ -34,15 +34,15 @@ BenchResult RunOne(const std::string& name, const EdgeList& edges, const GraphIn
 
   SimDevice dev("d", DeviceProfile::Ssd());
   WriteEdgeFile(dev, "input", edges);
-  OutOfCoreConfig config;
+  HybridConfig config;
   config.threads = threads;
-  config.memory_budget_bytes = 64ull << 20;  // only k matters: it is forced
+  config.streaming_budget_bytes = 64ull << 20;  // only k matters: it is forced
   config.io_unit_bytes = io_unit_bytes;
   config.num_partitions = partitions;
   config.allow_vertex_memory_opt = false;  // file-resident vertex states
   config.allow_update_memory_opt = false;
   config.partitioner = partitioner.get();
-  OutOfCoreEngine<PageRankAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<PageRankAlgorithm> engine(config, dev, dev, dev, "input", info);
 
   BenchResult r;
   r.quality = EvaluatePartitionQuality(engine.layout(), edges);

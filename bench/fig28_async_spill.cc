@@ -20,7 +20,7 @@
 #include "bench_common.h"
 
 #include "algorithms/pagerank.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/transforms.h"
 
 namespace xstream {
@@ -53,9 +53,9 @@ BenchResult RunOne(bool async_spill, const EdgeList& edges, const GraphInfo& inf
     WallClockSimDevice update_dev("updates", DeviceProfile::Ssd());
     WallClockSimDevice vertex_dev("vertices", DeviceProfile::Ssd());
     WriteEdgeFile(edge_dev, "fig28.input", edges);
-    OutOfCoreConfig config;
+    HybridConfig config;
     config.threads = threads;
-    config.memory_budget_bytes = 64ull << 20;  // only k matters: it is forced
+    config.streaming_budget_bytes = 64ull << 20;  // only k matters: it is forced
     config.io_unit_bytes = io_unit_bytes;
     config.num_partitions = partitions;
     config.allow_vertex_memory_opt = false;  // file-resident vertex states
@@ -63,8 +63,8 @@ BenchResult RunOne(bool async_spill, const EdgeList& edges, const GraphInfo& inf
     config.absorb_local_updates = false;     // pure spill traffic, no shortcut
     config.async_spill = async_spill;
     config.file_prefix = "fig28";
-    OutOfCoreEngine<PageRankAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
-                                              "fig28.input", info);
+    HybridEngine<PageRankAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
+                                           "fig28.input", info);
 
     PageRankAlgorithm algo(info.num_vertices, iterations);
     WallTimer timer;

@@ -8,7 +8,7 @@
 // sweeps k in {1,2,4,8} concurrent jobs (PageRank / WCC / BFS / SSSP mixes)
 // on an rmat graph and compares edge-device read bytes across:
 //
-//   * solo / naive-sequential — one OutOfCoreEngine per job, run back to
+//   * solo / naive-sequential — one HybridEngine per job, run back to
 //     back on private devices: edge reads grow ~linearly in k;
 //   * naive-interleaved — one engine per job on ONE shared edge device,
 //     driven one iteration each round-robin: the same byte volume, plus the
@@ -30,7 +30,7 @@
 #include "algorithms/pagerank.h"
 #include "algorithms/sssp.h"
 #include "algorithms/wcc.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/transforms.h"
 #include "scheduler/algo_jobs.h"
 #include "scheduler/scan_source.h"
@@ -61,8 +61,9 @@ std::vector<JobSpec> JobsForK(size_t k) {
   return specs;
 }
 
-OutOfCoreConfig EngineConfig(const BenchSetup& s, const std::string& prefix) {
-  OutOfCoreConfig config;
+HybridConfig EngineConfig(const BenchSetup& s, const std::string& prefix) {
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = s.threads;
   config.io_unit_bytes = s.io_unit_bytes;
   config.num_partitions = s.partitions;
@@ -92,26 +93,26 @@ SoloRun RunSolo(const JobSpec& spec, const BenchSetup& s) {
   SimDevice update_dev("updates", DeviceProfile::Ssd());
   SimDevice vertex_dev("vertices", DeviceProfile::Ssd());
   WriteEdgeFile(edge_dev, "fig30.input", s.edges);
-  OutOfCoreConfig config = EngineConfig(s, "solo");
+  HybridConfig config = EngineConfig(s, "solo");
   SoloRun run;
   if (spec.algo == "pagerank") {
-    OutOfCoreEngine<PageRankAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
-                                              "fig30.input", s.info);
+    HybridEngine<PageRankAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
+                                           "fig30.input", s.info);
     run.out = ConvertResult(RunPageRank(engine, spec.iterations).ranks,
                             [](float r) { return static_cast<double>(r); });
   } else if (spec.algo == "wcc") {
-    OutOfCoreEngine<WccAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
-                                         "fig30.input", s.info);
+    HybridEngine<WccAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
+                                      "fig30.input", s.info);
     run.out = ConvertResult(RunWcc(engine).labels,
                             [](VertexId l) { return static_cast<double>(l); });
   } else if (spec.algo == "bfs") {
-    OutOfCoreEngine<BfsAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
-                                         "fig30.input", s.info);
+    HybridEngine<BfsAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
+                                      "fig30.input", s.info);
     run.out = ConvertResult(RunBfs(engine, spec.root).levels,
                             [](uint32_t l) { return static_cast<double>(l); });
   } else if (spec.algo == "sssp") {
-    OutOfCoreEngine<SsspAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
-                                          "fig30.input", s.info);
+    HybridEngine<SsspAlgorithm> engine(config, edge_dev, update_dev, vertex_dev,
+                                       "fig30.input", s.info);
     run.out = ConvertResult(RunSssp(engine, spec.root).dist,
                             [](float d) { return static_cast<double>(d); });
   } else {
@@ -129,7 +130,7 @@ struct InterleavedJob {
 };
 
 template <typename Algo, typename Extract>
-InterleavedJob MakeInterleaved(std::shared_ptr<OutOfCoreEngine<Algo>> engine, Algo algo,
+InterleavedJob MakeInterleaved(std::shared_ptr<HybridEngine<Algo>> engine, Algo algo,
                                uint64_t max_iterations, Extract&& extract_state) {
   auto algo_ptr = std::make_shared<Algo>(std::move(algo));
   engine->InitVertices(*algo_ptr);
@@ -176,9 +177,9 @@ ModeRun RunInterleaved(const std::vector<JobSpec>& specs, const BenchSetup& s) {
   std::vector<InterleavedJob> jobs;
   for (size_t i = 0; i < specs.size(); ++i) {
     const JobSpec& spec = specs[i];
-    OutOfCoreConfig config = EngineConfig(s, "il" + std::to_string(i));
+    HybridConfig config = EngineConfig(s, "il" + std::to_string(i));
     if (spec.algo == "pagerank") {
-      auto engine = std::make_shared<OutOfCoreEngine<PageRankAlgorithm>>(
+      auto engine = std::make_shared<HybridEngine<PageRankAlgorithm>>(
           config, edge_dev, update_dev, vertex_dev, "fig30.input", s.info);
       jobs.push_back(MakeInterleaved(engine,
                                      PageRankAlgorithm(s.info.num_vertices, spec.iterations),
@@ -187,21 +188,21 @@ ModeRun RunInterleaved(const std::vector<JobSpec>& specs, const BenchSetup& s) {
                                        return static_cast<double>(st.rank);
                                      }));
     } else if (spec.algo == "wcc") {
-      auto engine = std::make_shared<OutOfCoreEngine<WccAlgorithm>>(
+      auto engine = std::make_shared<HybridEngine<WccAlgorithm>>(
           config, edge_dev, update_dev, vertex_dev, "fig30.input", s.info);
       jobs.push_back(MakeInterleaved(engine, WccAlgorithm{}, UINT64_MAX,
                                      [](const WccAlgorithm::VertexState& st) {
                                        return static_cast<double>(st.label);
                                      }));
     } else if (spec.algo == "bfs") {
-      auto engine = std::make_shared<OutOfCoreEngine<BfsAlgorithm>>(
+      auto engine = std::make_shared<HybridEngine<BfsAlgorithm>>(
           config, edge_dev, update_dev, vertex_dev, "fig30.input", s.info);
       jobs.push_back(MakeInterleaved(engine, BfsAlgorithm(spec.root), UINT64_MAX,
                                      [](const BfsAlgorithm::VertexState& st) {
                                        return static_cast<double>(st.level);
                                      }));
     } else if (spec.algo == "sssp") {
-      auto engine = std::make_shared<OutOfCoreEngine<SsspAlgorithm>>(
+      auto engine = std::make_shared<HybridEngine<SsspAlgorithm>>(
           config, edge_dev, update_dev, vertex_dev, "fig30.input", s.info);
       jobs.push_back(MakeInterleaved(engine, SsspAlgorithm(spec.root), UINT64_MAX,
                                      [](const SsspAlgorithm::VertexState& st) {
@@ -240,7 +241,7 @@ ModeRun RunShared(const std::vector<JobSpec>& specs, const BenchSetup& s) {
   DeviceScanSource::Options sopts;
   sopts.io_unit_bytes = s.io_unit_bytes;
   sopts.file_prefix = "scan";
-  sopts.collect_dst_tallies = false;  // no hybrid jobs in this bench
+  sopts.collect_dst_tallies = false;  // no job in this bench pins
   DeviceScanSource source(pool, layout, sopts, edge_dev, "fig30.input");
 
   JobScheduler scheduler(source);

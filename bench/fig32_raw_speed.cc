@@ -32,7 +32,7 @@
 
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "core/sizing.h"
 #include "obs/metrics.h"
 #include "partitioning/partitioner.h"
@@ -89,9 +89,9 @@ LegResult RunLeg(const BenchInput& in, const LegConfig& leg, MakeAlgo make_algo,
   popts.seed = 1;
   std::unique_ptr<Partitioner> partitioner = MakePartitioner("2ps", popts);
 
-  OutOfCoreConfig config;
+  HybridConfig config;
   config.threads = in.threads;
-  config.memory_budget_bytes = in.budget;
+  config.streaming_budget_bytes = in.budget;
   config.io_unit_bytes = in.io_unit_bytes;
   config.num_partitions = in.partitions;
   // Force the full device path: vertex files on disk, every update spilled.
@@ -102,8 +102,8 @@ LegResult RunLeg(const BenchInput& in, const LegConfig& leg, MakeAlgo make_algo,
   config.partitioner = partitioner.get();
   config.file_prefix = "fig32";
 
-  OutOfCoreEngine<Algo> engine(config, *edge_dev, *update_dev, *vertex_dev, "fig32.input",
-                               in.info);
+  HybridEngine<Algo> engine(config, *edge_dev, *update_dev, *vertex_dev, "fig32.input",
+                            in.info);
   Algo algo = make_algo();
   WallTimer timer;
   RunStats stats = engine.Run(algo, max_iters);

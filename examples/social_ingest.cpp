@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "algorithms/wcc.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "storage/posix_device.h"
@@ -36,13 +36,14 @@ int main(int argc, char** argv) {
   PosixDevice disk("disk", scratch.path());
   WriteEdgeFile(disk, "social.edges", {});  // start empty
 
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = static_cast<int>(opts.GetInt("threads", 0));
-  config.memory_budget_bytes = opts.GetUint("budget-mb", 16) << 20;
+  config.streaming_budget_bytes = opts.GetUint("budget-mb", 16) << 20;
   config.io_unit_bytes = 1 << 20;
   GraphInfo empty = info;  // vertex universe known up front
   empty.num_edges = 0;
-  OutOfCoreEngine<WccAlgorithm> engine(config, disk, disk, disk, "social.edges", empty);
+  HybridEngine<WccAlgorithm> engine(config, disk, disk, disk, "social.edges", empty);
 
   uint64_t per_batch = full.size() / static_cast<uint64_t>(batches);
   for (int b = 0; b < batches; ++b) {

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "algorithms/pagerank.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "storage/posix_device.h"
@@ -45,11 +45,12 @@ int main(int argc, char** argv) {
     EdgeList().swap(crawl);
   }
 
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = static_cast<int>(opts.GetInt("threads", 0));
-  config.memory_budget_bytes = opts.GetUint("budget-mb", 16) << 20;
+  config.streaming_budget_bytes = opts.GetUint("budget-mb", 16) << 20;
   config.io_unit_bytes = 1 << 20;
-  OutOfCoreEngine<PageRankAlgorithm> engine(config, disk, disk, disk, "crawl.edges", info);
+  HybridEngine<PageRankAlgorithm> engine(config, disk, disk, disk, "crawl.edges", info);
   std::printf("engine: %u streaming partitions, vertices %s\n", engine.num_partitions(),
               engine.vertices_in_memory() ? "memory-resident" : "on disk");
 

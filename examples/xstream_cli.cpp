@@ -2,13 +2,13 @@
 //
 //   xstream_cli --algorithm=wcc --input=edges.txt
 //   xstream_cli --algorithm=pagerank --generate=rmat --scale=20 --threads=8
-//   xstream_cli --algorithm=sssp --input=graph.txt --root=5 --out-of-core
-//               --workdir=/data/tmp --budget-mb=1024
+//   xstream_cli --algorithm=sssp --input=graph.txt --root=5
+//               --engine=out-of-core --workdir=/data/tmp --budget-mb=1024
 //
 // Inputs: --input=<path> (text "src dst [weight]" lines, or raw binary edge
 // records if the name ends in .bin) or --generate=rmat|grid|er|bipartite.
-// Engines: in-memory by default; --out-of-core streams from real files
-// under --workdir. Prints the result summary and run statistics.
+// Engines: in-memory by default; --engine=out-of-core|hybrid streams from
+// real files under --workdir. Prints the result summary and run statistics.
 #include <algorithm>
 #include <atomic>
 #include <csignal>
@@ -23,7 +23,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
 #include "graph/edge_io.h"
 #include "obs/attribution.h"
 #include "obs/http_exporter.h"
@@ -64,8 +63,9 @@ constexpr char kUsage[] = R"(xstream_cli — edge-centric graph processing
   --root=V                  bfs/sssp source (default 0)
   --iterations=N            pagerank/bp rounds (default 5)
   --k=N                     kcore threshold (default 8)
-  --engine=in-memory|out-of-core|hybrid   (default in-memory)
-  --out-of-core             legacy alias for --engine=out-of-core
+  --engine=in-memory|out-of-core|hybrid   (default in-memory; out-of-core
+                            is the device engine at pin budget 0, with the
+                            vertex array in RAM when it fits the budget)
     --workdir=<dir>         scratch directory (default: a temp dir)
     --budget-mb=N           out-of-core working budget, MB (default 256)
     --io-unit-kb=N          I/O unit (default 1024)
@@ -87,8 +87,9 @@ constexpr char kUsage[] = R"(xstream_cli — edge-centric graph processing
                             --stats-json)
   --memory-budget=BYTES     hybrid engine: byte budget for pinning hot
                             partitions in RAM (default: auto-detect, half of
-                            physical memory; 0 pins nothing); requests above
-                            physical memory are clamped with a warning
+                            physical memory; 0 pins nothing, like
+                            out-of-core with vertices in files); requests
+                            above physical memory are clamped with a warning
     --no-replan             hybrid: freeze the pin set chosen at setup
                             instead of re-planning between iterations
     --residency-hysteresis=N  hybrid: iterations a partition must win/lose
@@ -432,14 +433,14 @@ size_t StageBytesFromFlags(const Options& opts) {
                                  : DefaultShuffleStageBytes();
 }
 
-// Dispatches `run` with a constructed engine of any of the three flavours.
+// Dispatches `run` with a constructed engine: the in-memory engine, or the
+// device engine at pin budget 0 (out-of-core) or at --memory-budget (hybrid).
 template <typename Algo, typename Run>
 void WithEngine(const Options& opts, const EdgeList& edges, uint64_t num_vertices, Run&& run) {
   int threads = static_cast<int>(opts.GetInt("threads", 0));
   std::unique_ptr<Partitioner> partitioner = PartitionerFromFlags(opts);
   uint32_t partitions = static_cast<uint32_t>(opts.GetUint("partitions", 0));
-  std::string engine_name =
-      opts.GetString("engine", opts.GetBool("out-of-core", false) ? "out-of-core" : "in-memory");
+  std::string engine_name = opts.GetString("engine", "in-memory");
   if (engine_name == "in-memory") {
     InMemoryConfig config;
     config.threads = threads;
@@ -464,56 +465,38 @@ void WithEngine(const Options& opts, const EdgeList& edges, uint64_t num_vertice
   WriteEdgeFile(disk, "cli.input", edges);
   GraphInfo info = ScanEdges(edges);
   info.num_vertices = num_vertices;
-  if (engine_name == "hybrid") {
-    HybridConfig config;
-    config.threads = threads;
-    config.streaming_budget_bytes = opts.GetUint("budget-mb", 256) << 20;
-    config.io_unit_bytes = static_cast<size_t>(opts.GetUint("io-unit-kb", 1024)) << 10;
-    config.num_partitions = partitions;
-    config.async_spill = !opts.GetBool("sync-spill", false);
-    config.spill_queue_depth = static_cast<int>(opts.GetInt("spill-depth", 2));
-    config.compress_updates = opts.GetBool("compress-updates", false);
-    config.stage_bytes = StageBytesFromFlags(opts);
-    config.replan_between_iterations = !opts.GetBool("no-replan", false);
-    config.residency_hysteresis =
-        static_cast<uint32_t>(opts.GetUint("residency-hysteresis", 2));
-    config.residency_decay = opts.GetDouble("residency-decay", 0.0);
-    config.pin_edges = opts.GetBool("pin-edges", false);
-    config.partitioner = partitioner.get();
-    if (opts.Has("memory-budget")) {
-      config.memory_budget_bytes = opts.GetUint("memory-budget", 0);
-    }
-    g_stats_device = &disk;
-    HybridEngine<Algo> engine(config, disk, disk, disk, "cli.input", info);
-    std::printf("engine: hybrid in %s, %u partitions (%s), pin budget %s, "
-                "%u/%u partitions resident at start\n",
-                workdir.c_str(), engine.num_partitions(),
-                partitioner ? partitioner->name() : "range",
-                HumanBytes(engine.pin_budget_bytes()).c_str(), engine.resident_partitions(),
-                engine.num_partitions());
-    MaybePrintPartitionStats(opts, engine.layout(), edges);
-    {
-      LiveRunScope live(&engine.stats());
-      run(engine);
-    }
-    g_stats_device = nullptr;  // `disk` dies with this scope
-    return;
-  }
-  OutOfCoreConfig config;
+  bool hybrid = engine_name == "hybrid";
+  HybridConfig config;
   config.threads = threads;
-  config.memory_budget_bytes = opts.GetUint("budget-mb", 256) << 20;
+  config.streaming_budget_bytes = opts.GetUint("budget-mb", 256) << 20;
   config.io_unit_bytes = static_cast<size_t>(opts.GetUint("io-unit-kb", 1024)) << 10;
   config.num_partitions = partitions;
+  // Pins live where the vertex files would, so only the out-of-core engine
+  // keeps the vertex array in RAM (§3.2 optimization 1).
+  config.allow_vertex_memory_opt = !hybrid;
   config.async_spill = !opts.GetBool("sync-spill", false);
   config.spill_queue_depth = static_cast<int>(opts.GetInt("spill-depth", 2));
   config.compress_updates = opts.GetBool("compress-updates", false);
   config.stage_bytes = StageBytesFromFlags(opts);
+  config.replan_between_iterations = !opts.GetBool("no-replan", false);
+  config.residency_hysteresis =
+      static_cast<uint32_t>(opts.GetUint("residency-hysteresis", 2));
+  config.residency_decay = opts.GetDouble("residency-decay", 0.0);
+  config.pin_edges = opts.GetBool("pin-edges", false);
   config.partitioner = partitioner.get();
+  if (hybrid) {
+    config.memory_budget_bytes = opts.Has("memory-budget") ? opts.GetUint("memory-budget", 0)
+                                                           : HybridConfig::kAutoMemoryBudget;
+  }
   g_stats_device = &disk;
-  OutOfCoreEngine<Algo> engine(config, disk, disk, disk, "cli.input", info);
-  std::printf("engine: out-of-core in %s, %u partitions (%s), vertices %s\n", workdir.c_str(),
-              engine.num_partitions(), partitioner ? partitioner->name() : "range",
-              engine.vertices_in_memory() ? "in memory" : "on disk");
+  HybridEngine<Algo> engine(config, disk, disk, disk, "cli.input", info);
+  std::printf("engine: %s in %s, %u partitions (%s), vertices %s, pin budget %s, "
+              "%u/%u partitions resident at start\n",
+              engine_name.c_str(), workdir.c_str(), engine.num_partitions(),
+              partitioner ? partitioner->name() : "range",
+              engine.vertices_in_memory() ? "in memory" : "on disk",
+              HumanBytes(engine.pin_budget_bytes()).c_str(), engine.resident_partitions(),
+              engine.num_partitions());
   MaybePrintPartitionStats(opts, engine.layout(), edges);
   {
     LiveRunScope live(&engine.stats());
@@ -529,8 +512,7 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
   std::vector<JobSpec> specs = ParseJobList(opts.GetString("jobs", ""));
   int threads = static_cast<int>(opts.GetInt("threads", 0));
   ThreadPool pool(threads > 0 ? threads : NumCores());
-  std::string engine_name =
-      opts.GetString("engine", opts.GetBool("out-of-core", false) ? "out-of-core" : "in-memory");
+  std::string engine_name = opts.GetString("engine", "in-memory");
 
   std::unique_ptr<Partitioner> partitioner = PartitionerFromFlags(opts);
   size_t io_unit_bytes = static_cast<size_t>(opts.GetUint("io-unit-kb", 1024)) << 10;
@@ -608,11 +590,12 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
     jcfg.spill_queue_depth = static_cast<int>(opts.GetInt("spill-depth", 2));
     jcfg.compress_updates = opts.GetBool("compress-updates", false);
     jcfg.stage_bytes = StageBytesFromFlags(opts);
-    jcfg.hybrid = engine_name == "hybrid";
+    // Hybrid job stores keep their vertices in files so they can pin.
+    jcfg.allow_vertex_memory_opt = engine_name != "hybrid";
     jcfg.residency_hysteresis =
         static_cast<uint32_t>(opts.GetUint("residency-hysteresis", 2));
     jcfg.residency_decay = opts.GetDouble("residency-decay", 0.0);
-    jcfg.pin_edges = jcfg.hybrid && opts.GetBool("pin-edges", false);
+    jcfg.pin_edges = opts.GetBool("pin-edges", false);
     for (size_t i = 0; i < specs.size(); ++i) {
       outputs.push_back(std::make_shared<JobOutput>());
       ids.push_back(scheduler->Submit(MakeDeviceJob(specs[i], *dev, *disk, *disk, jcfg,

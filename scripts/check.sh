@@ -5,9 +5,9 @@
 #   1. tier-1: configure, build everything, run the full test suite
 #   2. partition-quality smoke: fig27 at smoke scale, so partitioner and
 #      update-traffic regressions show up as diffable numbers
-#   3. hybrid-residency smoke: fig29 at smoke scale — budget 0 must match
-#      the out-of-core engine, full budget must stop writing update files,
-#      and the runtime curve must stay monotone
+#   3. hybrid-residency smoke: fig29 at smoke scale — every pin budget must
+#      match the in-memory results, full budget must stop writing update
+#      files, and the runtime curve must stay monotone
 #   4. scan-sharing smoke: fig30 at smoke scale — concurrent scheduler jobs
 #      must produce solo-identical results while the shared scan keeps the
 #      edge-read volume ~flat in the job count

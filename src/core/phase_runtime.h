@@ -26,7 +26,7 @@
 //    path, and gather sub-partitions each chunk by destination so threads
 //    touch disjoint vertex ranges.
 //
-// Engines (core/inmem_engine.h, core/ooc_engine.h) are thin facades: they
+// Engines (core/inmem_engine.h, core/hybrid_engine.h) are thin facades: they
 // pick the store, size the layout/buffers, and forward their public API
 // here.
 #ifndef XSTREAM_CORE_PHASE_RUNTIME_H_

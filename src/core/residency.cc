@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/logging.h"
+
 namespace xstream {
 
 std::vector<uint32_t> ResidencyPlanner::DensityOrder(
@@ -141,6 +143,39 @@ ResidencyDelta ResidencyPlanner::PlanDelta(
     }
   }
   return delta;
+}
+
+std::vector<PartitionResidencyStats> BuildHybridPlanInputs(
+    const PartitionLayout& layout, size_t vertex_state_bytes, size_t update_bytes,
+    const std::vector<uint64_t>& dst_edge_counts,
+    const std::vector<uint64_t>& local_edge_counts, bool absorb_local_updates,
+    const std::vector<uint64_t>* pinned_edge_counts) {
+  uint32_t k = layout.num_partitions();
+  XS_CHECK_EQ(dst_edge_counts.size(), size_t{k});
+  XS_CHECK_EQ(local_edge_counts.size(), size_t{k});
+  std::vector<PartitionResidencyStats> inputs(k);
+  for (uint32_t p = 0; p < k; ++p) {
+    uint64_t vbytes = layout.Size(p) * vertex_state_bytes;
+    // Worst case one update per incoming edge: the RAM buffer a pin must be
+    // prepared to hold.
+    uint64_t buffer = dst_edge_counts[p] * update_bytes;
+    // Updates already absorbed into the scatter partition's shadow never hit
+    // the update file, so with absorption on only cross-partition incoming
+    // edges count toward the traffic a pin avoids.
+    uint64_t crossing = absorb_local_updates
+                            ? dst_edge_counts[p] - local_edge_counts[p]
+                            : dst_edge_counts[p];
+    // Edge pinning: the pin additionally holds the partition's edge stream
+    // and saves its per-iteration device read.
+    uint64_t ebytes =
+        pinned_edge_counts != nullptr ? (*pinned_edge_counts)[p] * sizeof(Edge) : 0;
+    inputs[p].vertex_bytes = vbytes;
+    inputs[p].update_buffer_bytes = buffer;
+    inputs[p].edge_bytes = ebytes;
+    inputs[p].avoided_bytes_per_iteration =
+        PricePinSavings(vbytes, crossing * update_bytes, ebytes);
+  }
+  return inputs;
 }
 
 }  // namespace xstream

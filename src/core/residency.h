@@ -3,8 +3,8 @@
 // X-Stream offers two extremes: the in-memory engine (everything resident)
 // and the out-of-core engine (everything streamed from devices). The common
 // case on real hardware sits between them — a graph slightly larger than
-// RAM still has a working set that mostly fits. The hybrid store
-// (core/hybrid_store.h) keeps a chosen subset of partitions fully resident
+// RAM still has a working set that mostly fits. The device store
+// (core/stream_store.h) keeps a chosen subset of partitions fully resident
 // (vertex states pinned, incoming updates buffered in RAM, optionally the
 // edge stream cached too) while the rest spill through the device path;
 // this planner chooses that subset under a byte budget.
@@ -32,13 +32,15 @@
 //    `hysteresis` consecutive calls before it migrates, so a drifting
 //    workload (a BFS/SSSP frontier sweeping through partitions) does not
 //    thrash state between RAM and the vertex files every iteration. The
-//    hybrid store applies the delta one partition at a time, at partition
+//    device store applies the delta one partition at a time, at partition
 //    boundaries, instead of in a stop-the-world migration phase.
 #ifndef XSTREAM_CORE_RESIDENCY_H_
 #define XSTREAM_CORE_RESIDENCY_H_
 
 #include <cstdint>
 #include <vector>
+
+#include "core/partition.h"
 
 namespace xstream {
 
@@ -105,6 +107,21 @@ inline uint64_t PricePinSavings(uint64_t vertex_bytes, uint64_t crossing_update_
                                 uint64_t edge_bytes = 0) {
   return vertex_bytes > 0 ? 3 * vertex_bytes + 2 * crossing_update_bytes + edge_bytes : 0;
 }
+
+/// Builds the planner inputs from a store's edge tallies: the destination
+/// and same-partition counts are the per-partition decomposition of the
+/// PartitionQuality edge cut — the locality signal the streaming
+/// partitioners optimize. When absorption is on, updates local to their
+/// source partition never hit the update file anyway, so only
+/// cross-partition incoming edges count toward a pin's avoided traffic.
+/// `pinned_edge_counts` (edges by source partition) is non-null when edge
+/// pinning prices edge streams into the pin cost and savings.
+/// Thread-safety: pure function of its inputs. Blocking: never.
+std::vector<PartitionResidencyStats> BuildHybridPlanInputs(
+    const PartitionLayout& layout, size_t vertex_state_bytes, size_t update_bytes,
+    const std::vector<uint64_t>& dst_edge_counts,
+    const std::vector<uint64_t>& local_edge_counts, bool absorb_local_updates,
+    const std::vector<uint64_t>* pinned_edge_counts = nullptr);
 
 /// Solves (fully or incrementally) the byte-budgeted pin set.
 ///

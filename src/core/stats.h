@@ -65,12 +65,12 @@ struct RunStats {
   // spill_wait_seconds.
   double gather_wait_seconds = 0.0;
 
-  // Hybrid (partially resident) engine: partitions the residency planner
+  // Partially resident device engine: partitions the residency planner
   // pinned in RAM for the latest iteration, the planner-accounted bytes that
   // pinning holds resident (vertex states + worst-case update buffers), and
   // the device traffic the pins removed (vertex-file loads/stores skipped
   // plus update bytes kept in RAM instead of written to and read back from
-  // update files). Zero on the pure in-memory / out-of-core engines.
+  // update files). Zero on the in-memory engine and at pin budget 0.
   uint64_t resident_partition_count = 0;
   uint64_t resident_bytes = 0;
   uint64_t avoided_spill_bytes = 0;

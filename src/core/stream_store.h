@@ -12,7 +12,7 @@
 //    shuffle-scratch buffer only when the partitions outnumber the shuffle
 //    fanout, and all vertex state resident in one dense-ordered array.
 //    Never spills.
-//  * DeviceStreamStore — the out-of-core engine's substrate (§3): one edge,
+//  * DeviceStreamStore — the device engine's substrate (§3): one edge,
 //    update and vertex file per streaming partition on StorageDevices,
 //    chunked StreamReader input, and a spill path that shuffles a filled
 //    output buffer and appends the per-partition chunks to the update files
@@ -22,7 +22,8 @@
 //    overlapped with computing ... into another output buffer"), waiting
 //    only when a shuffle destination buffer is still owned by the write two
 //    batches back. `async_spill = false` degrades to a fully synchronous
-//    spill (the fig28 baseline).
+//    spill (the fig28 baseline). A pin budget keeps planner-chosen
+//    partitions in RAM; budget 0 is the paper's out-of-core store.
 //
 // The common surface the driver relies on is captured by the StreamStoreFor
 // concept below; the phase-shape extensions (partition-parallel scatter for
@@ -39,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -48,6 +50,7 @@
 #include "buffers/stream_buffer.h"
 #include "core/algorithm.h"
 #include "core/partition.h"
+#include "core/residency.h"
 #include "core/stats.h"
 #include "core/stream_codec.h"
 #include "graph/types.h"
@@ -176,16 +179,16 @@ inline void PartitionEdgeFileToParts(ThreadPool& pool, const PartitionLayout& la
 // ---------------------------------------------------------------------------
 // PinnedEdgeCache: per-partition edge streams cached in RAM.
 //
-// A fully resident hybrid partition still pays one device pass per
+// A fully resident pinned partition still pays one device pass per
 // iteration for its edge stream — the last traffic between it and true
 // memory speed. This cache closes that gap: a partition whose residency
 // plan requests edge pinning captures its chunks during the next device
 // scan and serves every later ForEachEdgeChunk from RAM, so at a full pin
 // budget the edge device is never touched after the first iteration.
 //
-// One cache can back several consumers: the solo HybridStreamStore owns a
+// One cache can back several consumers: a solo DeviceStreamStore owns a
 // private instance, while in scheduler runs the DeviceScanSource owns one
-// shared instance that every attached hybrid job Request()s partitions
+// shared instance that every attached pinning job Request()s partitions
 // into — N concurrent jobs hit one copy of the cached edges, mirroring how
 // attach mode already shares the edge files themselves. Requests are
 // refcounted so a partition stays cached while any job still pins it.
@@ -512,9 +515,39 @@ class MemoryStreamStore {
 
 // ---------------------------------------------------------------------------
 // DeviceStreamStore: per-partition edge/update/vertex files on storage
-// devices (paper §3), with the folded shuffle-spill path.
+// devices (paper §3), with the folded shuffle-spill path and a
+// planner-chosen set of partitions held in RAM.
+//
+// When vertex states live in files, a ResidencyPlanner (core/residency.h)
+// pins partitions under `pin_budget_bytes`, pricing each from the setup
+// pass's destination tallies. For every pinned partition
+//
+//  * vertex states are held in RAM (vertex-file loads/stores become
+//    memcpys in/out of the pin),
+//  * updates destined to it are appended to an in-RAM buffer during the
+//    spill shuffle instead of being written to — and later read back
+//    from — its update file: the §3.2 memory-gather optimization applied
+//    per partition instead of all-or-nothing, and
+//  * with `pin_edges` on, its edge stream is captured into a
+//    PinnedEdgeCache on the first device scan and served from RAM
+//    afterwards, so at a full budget the store runs at memory speed.
+//
+// Unpinned partitions keep the full device path, including local-update
+// absorption and the async double-buffered spill. Pin budget 0 pins
+// nothing: that is the paper's §3 store.
+//
+// Residency is incremental: between iterations the store asks the planner
+// for a PlanDelta against the observed per-partition update volume — only
+// partitions whose win (or loss) survived the hysteresis filter migrate,
+// each at its own scatter boundary (the driver's AtPartitionBoundary hook)
+// instead of in a stop-the-world phase. Mid-iteration flips are safe
+// because the gather always drains both homes of a partition's updates:
+// its RAM buffer and its update file. `residency_hysteresis = 0` restores
+// the stop-the-world full re-plan (the fig31 baseline).
 
 struct DeviceStoreOptions {
+  // The §3.4 streaming budget: the stream buffers, plus the vertex array
+  // when §3.2 optimization 1 keeps it in RAM.
   uint64_t memory_budget_bytes = 64ull << 20;
   size_t io_unit_bytes = 1 << 20;
   bool allow_vertex_memory_opt = true;
@@ -529,10 +562,6 @@ struct DeviceStoreOptions {
   // devices that absorb several streams can take more writes in flight.
   // Clamped to >= 2 (the gather scratch logic needs two non-fill buffers).
   int spill_queue_depth = 2;
-  // Tally incoming/local edges per partition during the setup and ingest
-  // shuffles (one extra PartitionOf per edge). Only the hybrid store's
-  // residency planner consumes the tallies, so it alone turns this on.
-  bool collect_dst_tallies = false;
   std::string file_prefix = "xs";
   // Shared-scan attach mode (src/scheduler/): open the existing per-
   // partition edge files named "<edge_file_prefix>.edges.N" instead of
@@ -543,7 +572,8 @@ struct DeviceStoreOptions {
   std::string edge_file_prefix;  // empty = file_prefix
   // Setup-pass tallies supplied by the owner of the shared edge files
   // (attach mode never runs its own tally pass). Not owned; read once at
-  // construction.
+  // construction. Null = the source collected none, so the store cannot
+  // price pins and never pins.
   const std::vector<uint64_t>* shared_dst_tallies = nullptr;
   const std::vector<uint64_t>* shared_local_tallies = nullptr;
   // Delta+varint compression of the spilled update streams (StreamCodec,
@@ -551,15 +581,56 @@ struct DeviceStoreOptions {
   // frame by frame. Results are bit-identical either way; only the
   // update-file bytes change. Off by default — it trades codec CPU for
   // update-device bandwidth, a win exactly when the update device is the
-  // bottleneck.
+  // bottleneck. Pinned partitions' RAM-resident updates are unaffected.
   bool compress_updates = false;
   // Per-thread staging bytes for the single-stage shuffles (--stage-bytes):
   // routes the spill/setup shuffles through StagedSingleStageShuffle when
   // > 0 (~L2 is the intended size; see DefaultShuffleStageBytes). 0 keeps
   // the legacy fused counting shuffle. Output is identical either way.
   size_t stage_bytes = 0;
+
+  // ---- Residency (file-resident vertices only) ----
+  // Byte budget for the pin set (vertex states + worst-case update buffers
+  // + cached edge streams of the resident partitions). A planning target,
+  // not an enforced cap: an iteration that out-produces the estimate grows
+  // a pinned buffer past it.
+  uint64_t pin_budget_bytes = 0;
+  // Re-plan the pin set at each iteration boundary from the previous
+  // iteration's observed update volume.
+  bool replan_between_iterations = true;
+  // EWMA decay for the observed-update-volume signal the re-plan consumes
+  // (CLI --residency-decay): smoothed = decay * previous + (1 - decay) *
+  // observed. 0 (the default) reacts to the last iteration only; values
+  // toward 1 age in history, damping pin-set churn on algorithms whose
+  // per-iteration volumes oscillate (BFS/WCC frontiers). Clamped to [0, 1)
+  // at construction. The smoothed total is surfaced as the registry gauge
+  // "residency.<file_prefix>.smoothed_update_bytes".
+  double residency_decay = 0.0;
+  // Iterations a partition must win (or lose) its place in the target pin
+  // set before the incremental re-plan migrates it. 0 = a stop-the-world
+  // full re-plan between iterations (the fig31 baseline).
+  uint32_t residency_hysteresis = 2;
+  // Cache pinned partitions' edge streams in RAM after their first device
+  // scan, so fully resident partitions stop touching the edge device.
+  bool pin_edges = false;
+  // Scheduler runs: the scan source's shared PinnedEdgeCache, so N
+  // concurrent jobs hit one copy of the cached edges. Every pinning store
+  // — shared or private — prices edge bytes into its own planner inputs,
+  // so the pin budget bounds the cache it can request; with a shared
+  // cache that is conservative (jobs pinning the same partition each
+  // charge the one copy), never an under-count, and keeps the plan a
+  // self-consistent knapsack (no budget/cache feedback loop). Null (solo
+  // runs) = the store creates and owns a private cache.
+  std::shared_ptr<PinnedEdgeCache> shared_edge_cache;
 };
 
+// Threading: one compute loop drives the phase surface (scatter / gather /
+// iteration hooks) from a single thread at a time — the solo driver's loop
+// or the scheduler's single-driver protocol — while spill writes run on the
+// update device's I/O thread. SetPinBudget is the one member safe to call
+// from another thread between the driving thread's calls (the scheduler
+// invokes it at admit/retire boundaries it drives itself, so in practice
+// it is serialized too).
 template <EdgeCentricAlgorithm Algo>
 class DeviceStreamStore {
  public:
@@ -572,7 +643,9 @@ class DeviceStreamStore {
 
   // Devices may all be the same object (single disk), split between edges
   // and updates (the Fig 15 "independent disks" configuration), or RAID-0
-  // wrappers. `input_edge_file` must exist on `edge_dev`.
+  // wrappers. `input_edge_file` must exist on `edge_dev`. Runs the setup
+  // pass (blocks on edge-device I/O) and applies the setup-time pin plan
+  // (blocks on vertex-device reads for the initial promotions).
   DeviceStreamStore(ThreadPool& pool, PartitionLayout layout, const Options& opts,
                     StorageDevice& edge_dev, StorageDevice& update_dev,
                     StorageDevice& vertex_dev, const std::string& input_edge_file)
@@ -662,10 +735,53 @@ class DeviceStreamStore {
     } else {
       PartitionInputEdges(input_edge_file);
     }
+
+    plan_.resident.assign(k, false);
+    pinned_.resize(k);
+    pinned_updates_.resize(k);
+    observed_updates_.assign(k, 0);
+    smoothed_updates_.assign(k, 0.0);
+    pending_promote_.assign(k, 0);
+    pending_evict_.assign(k, 0);
+    // A pin is a per-partition choice between RAM and the vertex file, priced
+    // from the destination tallies: the setup pass collects them whenever
+    // vertices are file-resident, and an attached store has them only if its
+    // scan source collected them.
+    if (vertices_in_memory_ ||
+        (opts_.attach_edge_files && opts_.shared_dst_tallies == nullptr)) {
+      return;
+    }
+    planner_.emplace(opts_.pin_budget_bytes);
+    planner_->set_hysteresis(opts_.residency_hysteresis);
+    if (opts_.residency_decay < 0.0 || opts_.residency_decay >= 1.0) {
+      XS_LOG(Warning) << "residency decay " << opts_.residency_decay
+                      << " outside [0, 1); clamping";
+      opts_.residency_decay = std::clamp(opts_.residency_decay, 0.0, 0.999);
+    }
+    smoothed_gauge_ = &obs::MetricsRegistry::Global().gauge(
+        "residency." + opts_.file_prefix + ".smoothed_update_bytes");
+    if (opts_.pin_edges) {
+      owns_edge_cache_ = opts_.shared_edge_cache == nullptr;
+      edge_cache_ = owns_edge_cache_ ? std::make_shared<PinnedEdgeCache>(k, chunk_edges)
+                                     : opts_.shared_edge_cache;
+    }
+    ApplyPlan(planner_->Plan(InitialPlanInputs()));
+    replans_ = 0;  // the construction-time plan is not a re-plan
   }
 
-  // Subclasses customize spill routing through the virtual hooks below.
-  virtual ~DeviceStreamStore() { WaitAllWritesQuietly(); }
+  // Releases this store's shares of the (possibly scheduler-shared) edge
+  // cache, so a retired job's cached edge streams are freed instead of
+  // leaking for the scan source's lifetime.
+  ~DeviceStreamStore() {
+    if (edge_cache_ != nullptr) {
+      for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
+        if (plan_.resident[p]) {
+          edge_cache_->Release(p);
+        }
+      }
+    }
+    WaitAllWritesQuietly();
+  }
 
   ThreadPool& pool() { return pool_; }
   const PartitionLayout& layout() const { return layout_; }
@@ -676,22 +792,74 @@ class DeviceStreamStore {
   VertexState* resident_states() { return mem_states_.data(); }
   VertexState* partition_states() { return part_states_.data(); }
 
-  void LoadPartition(uint32_t p) {
-    uint64_t n = layout_.Size(p);
-    vertex_dev_.Read(vertex_files_[p], 0,
-                     std::span<std::byte>(reinterpret_cast<std::byte*>(part_states_.data()),
-                                          n * sizeof(VertexState)));
+  // ---- Residency ----------------------------------------------------------
+
+  // True when the store has file-resident vertices and tallies to price
+  // pins with, so a pin budget can change what it keeps in RAM.
+  bool CanPin() const { return planner_.has_value(); }
+  uint64_t pin_budget_bytes() const { return planner_ ? planner_->budget_bytes() : 0; }
+
+  // The currently applied pin set. During an iteration with staged
+  // migrations the bitmap transitions partition by partition as scatter
+  // boundaries pass; the byte/savings accounting already reflects the
+  // staged target.
+  const ResidencyPlan& residency_plan() const { return plan_; }
+  // Re-plans that changed (or staged a change to) the pin set.
+  uint64_t replans() const { return replans_; }
+
+  // Accounted cost of pinning every partition (the planner inputs' total,
+  // including edge streams when pin_edges is on): the budget at which the
+  // store is fully resident. Benches sweep fractions of this.
+  uint64_t FullPinBytes() const {
+    uint64_t total = 0;
+    for (const PartitionResidencyStats& p : InitialPlanInputs()) {
+      total += p.cost();
+    }
+    return total;
   }
 
-  void StorePartition(uint32_t p) { StorePartitionFrom(p, part_states_.data()); }
+  // Stop-the-world re-plan against explicit inputs (tests; operators with
+  // external knowledge). Migrates immediately — blocks on vertex-device I/O
+  // for the state moves. Must be called between iterations, from the
+  // driving thread. Automatic re-planning uses the observed update volume
+  // and the incremental delta path instead — see BeginIteration.
+  void Replan(const std::vector<PartitionResidencyStats>& inputs) {
+    XS_CHECK(CanPin());
+    ApplyPlan(planner_->Plan(inputs));
+    PushResidencyStats();
+  }
 
-  void BindStats(RunStats* stats) { stats_ = stats; }
+  // Budget handed down by the multi-job scheduler as jobs come and go.
+  // Takes effect at the next iteration boundary — including a first
+  // boundary with no observations yet (scheduler admission), which
+  // re-plans against the setup-time inputs — never mid-iteration (the
+  // pinned update buffers hold mid-iteration state, so re-planning
+  // immediately would drop updates). Bypasses the hysteresis (budget
+  // reassignments must land promptly) but the resulting migrations still
+  // apply one partition at a time, at scatter boundaries. Honored even
+  // when automatic re-planning is off. Never blocks.
+  void SetPinBudget(uint64_t bytes) {
+    XS_CHECK(CanPin());
+    planner_->set_budget_bytes(bytes);
+    budget_dirty_ = true;
+  }
+
+  void BindStats(RunStats* stats) {
+    stats_ = stats;
+    PushResidencyStats();
+  }
 
   // Optional (driver probes with a requires-clause): the accountant the
   // store's internal waits — spill-write stalls, edge-scan and gather read
   // stalls, in-spill shuffles — are attributed to (obs/attribution.h).
   void BindAccountant(obs::PhaseAccountant* acct) { acct_ = acct; }
 
+  // Iteration boundary. With a planner, runs the incremental re-plan
+  // (PlanDelta with hysteresis) against the observed update volume and
+  // stages the resulting migrations; they apply as the scatter reaches each
+  // partition's boundary. With residency_hysteresis == 0 it re-plans
+  // stop-the-world instead (blocks on the vertex-device I/O of every
+  // migration at once).
   void BeginIteration() {
     spilled_ = false;
     spilled_updates_ = 0;
@@ -699,12 +867,85 @@ class DeviceStreamStore {
     drained_updates_ = 0;
     absorbed_changed_ = 0;
     drain_watermark_ = 0;
+    if (planner_) {
+      bool first = iterations_seen_ == 0;
+      if (!first) {
+        // Age the volume signal: with decay 0 the smoothed series IS last
+        // iteration's observation.
+        double total = 0.0;
+        for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
+          smoothed_updates_[p] = opts_.residency_decay * smoothed_updates_[p] +
+                                 (1.0 - opts_.residency_decay) *
+                                     static_cast<double>(observed_updates_[p]);
+          total += smoothed_updates_[p];
+        }
+        smoothed_gauge_->Set(total * sizeof(Update));
+      }
+      if ((!first && opts_.replan_between_iterations) || budget_dirty_) {
+        // A budget assigned before the first iteration (scheduler admission)
+        // has no observed volumes yet; re-plan from the setup tallies.
+        std::vector<PartitionResidencyStats> inputs =
+            first ? InitialPlanInputs() : ObservedPlanInputs();
+        if (opts_.residency_hysteresis == 0) {
+          ApplyPlan(planner_->Plan(inputs));
+        } else {
+          StageDelta(planner_->PlanDelta(plan_, inputs, /*force=*/budget_dirty_));
+        }
+        budget_dirty_ = false;
+      }
+      ++iterations_seen_;
+      PushResidencyStats();
+    }
+    std::fill(observed_updates_.begin(), observed_updates_.end(), 0);
+  }
+
+  // Partition boundary (driver hook): applies the staged migration for
+  // partition p, if any. Promotions read p's states from the vertex file
+  // into the pin; evictions write the pin back — one partition's worth of
+  // blocking vertex-device I/O, amortized across the iteration instead of
+  // bundled into a stop-the-world phase. An evicted partition's already
+  // collected in-RAM updates stay buffered; the gather drains both the
+  // buffer and the update file, so mid-iteration flips lose nothing.
+  void AtPartitionBoundary(uint32_t p) {
+    if (pending_evict_[p]) {
+      pending_evict_[p] = 0;
+      EvictPartition(p);
+      PushResidencyStats();
+    } else if (pending_promote_[p]) {
+      pending_promote_[p] = 0;
+      PromotePartition(p);
+      PushResidencyStats();
+    }
+  }
+
+  // A pinned partition's vertex "file" is RAM: loads and stores are memcpys
+  // between the pin and the one-partition scratch the driver works in.
+  void LoadPartition(uint32_t p) {
+    uint64_t bytes = layout_.Size(p) * sizeof(VertexState);
+    if (plan_.resident[p]) {
+      std::memcpy(part_states_.data(), pinned_[p].data(), bytes);
+      stats_->avoided_spill_bytes += bytes;
+      return;
+    }
+    vertex_dev_.Read(vertex_files_[p], 0,
+                     std::span<std::byte>(reinterpret_cast<std::byte*>(part_states_.data()),
+                                          bytes));
+  }
+
+  void StorePartition(uint32_t p) {
+    if (plan_.resident[p]) {
+      uint64_t bytes = layout_.Size(p) * sizeof(VertexState);
+      std::memcpy(pinned_[p].data(), part_states_.data(), bytes);
+      stats_->avoided_spill_bytes += bytes;
+      return;
+    }
+    StorePartitionFrom(p, part_states_.data());
   }
 
   // Per-partition edge tallies from the setup/ingest shuffle passes, by
   // source (edge file sizes), by destination (worst-case incoming updates)
   // and edges whose endpoints share a partition (absorbable locally). The
-  // hybrid store's residency planner prices pin candidates with these.
+  // residency planner prices pin candidates with these.
   const std::vector<uint64_t>& src_edge_counts() const { return edge_counts_; }
   const std::vector<uint64_t>& dst_edge_counts() const { return dst_edge_counts_; }
   const std::vector<uint64_t>& local_edge_counts() const { return local_edge_counts_; }
@@ -729,14 +970,15 @@ class DeviceStreamStore {
 
   // Loads partition s's states and arms local-update absorption: spills
   // gather s-destined updates into a shadow next-state while scatter keeps
-  // reading the pre-iteration states.
+  // reading the pre-iteration states. A pinned partition's own updates go
+  // to its RAM buffer anyway, so absorption would only duplicate work.
   void BeginPartitionScatter(uint32_t s) {
     attr_partition_ = s;  // cell owner for this partition's spills and waits
     if (vertices_in_memory_) {
       return;
     }
     LoadPartition(s);
-    if (opts_.absorb_local_updates) {
+    if (opts_.absorb_local_updates && !plan_.resident[s]) {
       std::memcpy(shadow_states_.data(), part_states_.data(),
                   layout_.Size(s) * sizeof(VertexState));
       shadow_dirty_ = false;
@@ -744,18 +986,30 @@ class DeviceStreamStore {
     }
   }
 
-  // Streams partition s's edge file in I/O-unit chunks (prefetch distance 1
-  // via StreamReader double-buffering).
+  // Streams partition s's edges: from the PinnedEdgeCache when a sealed
+  // capture exists (no device I/O at all), capturing into the cache while
+  // streaming when s is pinned with pin_edges on, and otherwise from the
+  // edge file in I/O-unit chunks (prefetch distance 1 via StreamReader
+  // double-buffering).
   template <typename F>
   void ForEachEdgeChunk(uint32_t s, F&& f) {
-    uint64_t chunk_edges = std::max<uint64_t>(1, opts_.io_unit_bytes / sizeof(Edge));
-    StreamReader reader(edge_dev_, edge_files_[s], chunk_edges * sizeof(Edge));
-    for (auto chunk = reader.Next(); !chunk.empty(); chunk = reader.Next()) {
-      f(reinterpret_cast<const Edge*>(chunk.data()), chunk.size() / sizeof(Edge));
+    if (edge_cache_ != nullptr) {
+      uint64_t served = 0;
+      auto stream = [&](const PinnedEdgeCache::ChunkConsumer& consumer) {
+        StreamEdgeFile(s, consumer);
+      };
+      switch (edge_cache_->ServeOrCapture(s, f, stream, &served)) {
+        case PinnedEdgeCache::ServeResult::kServed:
+          stats_->edge_reads_avoided_bytes += served;
+          return;
+        case PinnedEdgeCache::ServeResult::kCaptured:
+          stats_->pinned_edge_bytes = edge_cache_->bytes();
+          return;
+        case PinnedEdgeCache::ServeResult::kMiss:
+          break;
+      }
     }
-    if (acct_ != nullptr) {
-      acct_->Record(obs::Phase::kScanIo, s, reader.wait_seconds());
-    }
+    StreamEdgeFile(s, std::forward<F>(f));
   }
 
   // In-memory shuffle of the filled output buffer + asynchronous appends of
@@ -769,10 +1023,10 @@ class DeviceStreamStore {
   // are gathered straight into its shadow next-state here — synchronously,
   // before the async write is submitted, so the writer thread and this
   // thread only ever read the shuffled buffer — and never reach its update
-  // file. Partially resident subclasses route further partitions to RAM via
-  // the KeepUpdatesResident / AppendResidentUpdates hooks; the write lambda
-  // works off a routing snapshot, so a later re-plan can never race it.
-  // The caller must Reset() the appender afterwards.
+  // file. Chunks for pinned partitions are appended to their RAM buffers
+  // on this thread and excluded from the write; the write lambda works off
+  // a routing snapshot, so a later re-plan can never race it. The caller
+  // must Reset() the appender afterwards.
   void SpillUpdates(Algo& algo, ConcurrentAppender& appender) {
     appender.FlushAll();
     uint64_t n = appender.records();
@@ -830,8 +1084,9 @@ class DeviceStreamStore {
     }
 
     // Route every destination partition: the scatter partition's chunks were
-    // gathered into the shadow above, resident partitions' chunks go to
-    // their RAM buffers (subclass hook), the rest to the update files.
+    // gathered into the shadow above, pinned partitions' chunks go to their
+    // RAM buffers, the rest to the update files. Every routed update counts
+    // toward next iteration's re-plan signal.
     uint64_t submitted_bytes = 0;
     uint64_t kept_bytes = 0;
     std::vector<uint8_t> to_file(layout_.num_partitions(), 0);
@@ -840,16 +1095,15 @@ class DeviceStreamStore {
       for (const auto& slice : shuffled.slices) {
         routed += slice[p].count;
       }
-      ObserveRoutedUpdates(p, routed);
+      observed_updates_[p] += routed;
       if (p == absorb) {
         continue;
       }
-      if (KeepUpdatesResident(p)) {
+      if (plan_.resident[p]) {
         for (const auto& slice : shuffled.slices) {
           const ChunkRef& c = slice[p];
-          if (c.count > 0) {
-            AppendResidentUpdates(p, shuffled.data + c.begin, c.count);
-          }
+          pinned_updates_[p].insert(pinned_updates_[p].end(), shuffled.data + c.begin,
+                                    shuffled.data + c.begin + c.count);
         }
         kept_bytes += routed * sizeof(Update);
       } else {
@@ -950,6 +1204,7 @@ class DeviceStreamStore {
     if (kept < buffered) {
       appender.Rewind(kept * sizeof(Update));
       drained_updates_ += buffered - kept;
+      observed_updates_[s] += buffered - kept;
       shadow_dirty_ = true;
     }
     drain_watermark_ = kept;
@@ -990,14 +1245,11 @@ class DeviceStreamStore {
             pool_, fill_.template records<Update>(), alt_[0].template records<Update>(),
             plan.tail_records, layout_.num_partitions(), layout_.num_partitions(),
             [this](const Update& u) { return layout_.PartitionOf(u.dst); }, opts_.stage_bytes);
-        // Memory-gathered tails still count as routed volume for partially
-        // resident subclasses' re-plan feedback (no-op in the base store).
-        for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
-          uint64_t routed = 0;
-          for (const auto& slice : plan.resident.slices) {
-            routed += slice[p].count;
+        // Memory-gathered tails still count toward the re-plan signal.
+        for (const auto& slice : plan.resident.slices) {
+          for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
+            observed_updates_[p] += slice[p].count;
           }
-          ObserveRoutedUpdates(p, routed);
         }
       }
     } else if (plan.tail_records > 0) {
@@ -1028,12 +1280,22 @@ class DeviceStreamStore {
     }
   }
 
-  // Streams partition p's update file in I/O-unit chunks. Time spent blocked
-  // on reads the prefetch missed is charged to gather_wait_seconds — the
-  // read-side half of the stall story spill_wait_seconds tells for writes.
+  // Streams partition p's updates in I/O-unit chunks. They may live in its
+  // RAM buffer (pinned), its update file, or — when its residency flipped
+  // at a mid-iteration boundary — both: the buffer drains first, then the
+  // file. Time spent blocked on file reads the prefetch missed is charged to
+  // gather_wait_seconds — the read-side half of the stall story
+  // spill_wait_seconds tells for writes.
   template <typename F>
   void ForEachUpdateChunk(uint32_t p, F&& f) {
     uint64_t chunk_updates = std::max<uint64_t>(1, opts_.io_unit_bytes / sizeof(Update));
+    const std::vector<Update>& pinned = pinned_updates_[p];
+    for (uint64_t i = 0; i < pinned.size(); i += chunk_updates) {
+      f(pinned.data() + i, std::min<uint64_t>(chunk_updates, pinned.size() - i));
+    }
+    if (update_dev_.FileSize(update_files_[p]) == 0) {
+      return;
+    }
     StreamReader reader(update_dev_, update_files_[p], chunk_updates * sizeof(Update));
     if (opts_.compress_updates) {
       // Compressed stream: the file holds self-delimiting codec frames (one
@@ -1077,9 +1339,17 @@ class DeviceStreamStore {
     }
   }
 
+  // Stores p's states back (into the pin when pinned) and recycles its RAM
+  // update buffer: a pinned partition keeps the capacity for the next
+  // iteration, an unpinned one frees what a mid-iteration eviction left.
   void EndPartitionGather(uint32_t p, bool memory_gather) {
     if (!vertices_in_memory_) {
       StorePartition(p);
+    }
+    if (plan_.resident[p]) {
+      pinned_updates_[p].clear();
+    } else {
+      pinned_updates_[p] = {};
     }
     // The update stream is consumed: destroy it (truncation = TRIM, §3.3).
     if (!memory_gather && opts_.eager_update_truncate) {
@@ -1104,18 +1374,20 @@ class DeviceStreamStore {
 
   // Cancelled mid-scatter (multi-job scheduler cancellation / teardown):
   // drop the absorption shadow, drain outstanding spill writes, and discard
-  // anything already spilled so nothing references the store's buffers and
-  // teardown is safe. Runs on destructor paths (a dropped job), so write
-  // errors are logged, never thrown — the job's results are being discarded
-  // anyway. This does NOT rewind vertex state: partitions whose scatter
-  // already completed this iteration may have persisted absorbed updates,
-  // so an aborted store's results are mid-iteration — discard the store
-  // (as the scheduler does) rather than resuming computation on it.
+  // anything already spilled or buffered for pinned partitions so nothing
+  // references the store's buffers and teardown is safe. Runs on destructor
+  // paths (a dropped job), so write errors are logged, never thrown — the
+  // job's results are being discarded anyway. This does NOT rewind vertex
+  // state: partitions whose scatter already completed this iteration may
+  // have persisted absorbed updates, so an aborted store's results are
+  // mid-iteration — discard the store (as the scheduler does) rather than
+  // resuming computation on it.
   void AbortScatter() {
     absorb_partition_ = kNoAbsorbPartition;
     WaitAllWritesQuietly();
     for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
       update_dev_.Truncate(update_files_[p], 0);
+      pinned_updates_[p].clear();
     }
     spilled_ = false;
     spilled_updates_ = 0;
@@ -1125,10 +1397,12 @@ class DeviceStreamStore {
     drain_watermark_ = 0;
   }
 
-  // Approximate RAM held for this store's lifetime: stream buffers plus
-  // whichever vertex arrays the residency mode keeps (admission pricing for
-  // the multi-job scheduler; a hybrid subclass's pin set is priced by its
-  // pin budget, not here).
+  // Approximate RAM held for this store's lifetime (admission pricing for
+  // the multi-job scheduler): stream buffers, whichever vertex arrays the
+  // residency mode keeps, and the edge-cache bytes a privately owned cache
+  // holds. The pin set is priced by the pin budget, not here; so is a
+  // scheduler-shared edge cache, since every pinning job prices edge bytes
+  // into its plan (see DeviceStoreOptions::shared_edge_cache).
   uint64_t ResidentFootprintBytes() const {
     uint64_t total = fill_.capacity_bytes();
     for (const auto& buf : alt_) {
@@ -1136,6 +1410,9 @@ class DeviceStreamStore {
     }
     total += mem_states_.size() * sizeof(VertexState);
     total += (part_states_.size() + shadow_states_.size()) * sizeof(VertexState);
+    if (edge_cache_ != nullptr && owns_edge_cache_) {
+      total += edge_cache_->bytes();
+    }
     return total;
   }
 
@@ -1188,26 +1465,7 @@ class DeviceStreamStore {
     }
   }
 
- protected:
-  // Protected rather than private: HybridStreamStore (core/hybrid_store.h)
-  // extends this store with a planner-chosen resident partition set and
-  // needs direct access to the buffer/file/spill machinery. The driver
-  // dispatches statically through its Store template parameter, so most
-  // subclass customizations shadow base methods; the spill path is the
-  // exception — it routes through the three virtual hooks below so the
-  // shuffle/absorb/append machinery exists exactly once.
-
-  // True if partition p's incoming updates stay in RAM instead of going to
-  // its update file.
-  virtual bool KeepUpdatesResident(uint32_t /*p*/) const { return false; }
-  // Appends a shuffled chunk destined to resident partition p. Runs on the
-  // compute thread, before the async write is submitted.
-  virtual void AppendResidentUpdates(uint32_t /*p*/, const Update* /*rec*/,
-                                     uint64_t /*count*/) {}
-  // Called once per destination partition per spill (and per memory-gather
-  // tail) with the updates routed there — subclass re-plan feedback.
-  virtual void ObserveRoutedUpdates(uint32_t /*p*/, uint64_t /*count*/) {}
-
+ private:
   std::string PartFile(const char* kind, uint32_t p) const {
     return opts_.file_prefix + "." + kind + "." + std::to_string(p);
   }
@@ -1220,8 +1478,20 @@ class DeviceStreamStore {
     return prefix + ".edges." + std::to_string(p);
   }
 
+  template <typename F>
+  void StreamEdgeFile(uint32_t s, F&& f) {
+    uint64_t chunk_edges = std::max<uint64_t>(1, opts_.io_unit_bytes / sizeof(Edge));
+    StreamReader reader(edge_dev_, edge_files_[s], chunk_edges * sizeof(Edge));
+    for (auto chunk = reader.Next(); !chunk.empty(); chunk = reader.Next()) {
+      f(reinterpret_cast<const Edge*>(chunk.data()), chunk.size() / sizeof(Edge));
+    }
+    if (acct_ != nullptr) {
+      acct_->Record(obs::Phase::kScanIo, s, reader.wait_seconds());
+    }
+  }
+
   // Track peak update-file occupancy for the TRIM ablation. Called at
-  // every gather boundary (base and partially resident subclasses alike).
+  // every gather boundary.
   void SampleUpdateOccupancy() {
     uint64_t occupancy = 0;
     for (uint32_t q = 0; q < layout_.num_partitions(); ++q) {
@@ -1237,12 +1507,14 @@ class DeviceStreamStore {
                                                  n * sizeof(VertexState)));
   }
 
+  // Destination tallies cost one extra PartitionOf per edge; only stores
+  // that can pin (file-resident vertices) consume them.
   EdgeShuffleTallies SetupTallies() {
     EdgeShuffleTallies tallies;
     tallies.src = &edge_counts_;
     tallies.dst = &dst_edge_counts_;
     tallies.local = &local_edge_counts_;
-    tallies.collect_dst = opts_.collect_dst_tallies;
+    tallies.collect_dst = !vertices_in_memory_;
     return tallies;
   }
 
@@ -1312,6 +1584,125 @@ class DeviceStreamStore {
     return {unique.begin(), unique.end()};
   }
 
+  // ---- Residency internals ------------------------------------------------
+
+  std::vector<PartitionResidencyStats> InitialPlanInputs() const {
+    return BuildHybridPlanInputs(layout_, sizeof(VertexState), sizeof(Update),
+                                 dst_edge_counts_, local_edge_counts_,
+                                 opts_.absorb_local_updates,
+                                 opts_.pin_edges ? &edge_counts_ : nullptr);
+  }
+
+  // Re-plan inputs: the worst-case one-update-per-edge buffer estimate is
+  // replaced by the (EWMA-smoothed, see residency_decay) observed
+  // per-partition volume. Slightly optimistic on the avoided side for
+  // unpinned partitions (absorbed updates are counted although they never
+  // hit the file), which only makes the planner favor locality-heavy
+  // partitions it would pin anyway. Every pinning store prices edge bytes
+  // into its plan, shared cache or not — the pin budget must see the full
+  // cost of what it requests, or a budget/cache feedback loop forms.
+  std::vector<PartitionResidencyStats> ObservedPlanInputs() const {
+    std::vector<PartitionResidencyStats> inputs(layout_.num_partitions());
+    for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
+      uint64_t vbytes = layout_.Size(p) * sizeof(VertexState);
+      uint64_t ubytes = static_cast<uint64_t>(smoothed_updates_[p] + 0.5) * sizeof(Update);
+      uint64_t ebytes = opts_.pin_edges ? edge_counts_[p] * sizeof(Edge) : 0;
+      inputs[p].vertex_bytes = vbytes;
+      inputs[p].update_buffer_bytes = ubytes;
+      inputs[p].edge_bytes = ebytes;
+      inputs[p].avoided_bytes_per_iteration = PricePinSavings(vbytes, ubytes, ebytes);
+    }
+    return inputs;
+  }
+
+  // One promotion: p's states move vertex file -> RAM pin; its edge stream
+  // becomes capture-eligible. Counted as migration traffic.
+  void PromotePartition(uint32_t p) {
+    obs::TraceSpan span("migration", "residency", p);
+    obs::MetricsRegistry::Global().counter("residency.promotions").Add();
+    uint64_t n = layout_.Size(p);
+    uint64_t bytes = n * sizeof(VertexState);
+    pinned_[p].resize(n);
+    if (n > 0) {
+      vertex_dev_.Read(vertex_files_[p], 0,
+                       std::span<std::byte>(reinterpret_cast<std::byte*>(pinned_[p].data()),
+                                            bytes));
+    }
+    plan_.resident[p] = true;
+    if (edge_cache_ != nullptr) {
+      edge_cache_->Request(p);
+    }
+    ++stats_->promotions;
+    stats_->migration_bytes += bytes;
+  }
+
+  // One eviction: p's states move RAM pin -> vertex file; its cached edges
+  // are released. The in-RAM update buffer is NOT dropped — updates already
+  // routed there this iteration are gathered from it (see
+  // ForEachUpdateChunk) and released at gather end.
+  void EvictPartition(uint32_t p) {
+    obs::TraceSpan span("migration", "residency", p);
+    obs::MetricsRegistry::Global().counter("residency.evictions").Add();
+    uint64_t n = layout_.Size(p);
+    uint64_t bytes = n * sizeof(VertexState);
+    if (n > 0) {
+      StorePartitionFrom(p, pinned_[p].data());
+    }
+    pinned_[p] = {};
+    plan_.resident[p] = false;
+    if (edge_cache_ != nullptr) {
+      edge_cache_->Release(p);
+      stats_->pinned_edge_bytes = edge_cache_->bytes();
+    }
+    ++stats_->evictions;
+    stats_->migration_bytes += bytes;
+  }
+
+  // Stop-the-world plan application (construction, explicit Replan, and
+  // hysteresis 0): every differing partition migrates now.
+  void ApplyPlan(ResidencyPlan next) {
+    bool changed = false;
+    for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
+      if (next.resident[p] && !plan_.resident[p]) {
+        PromotePartition(p);
+        changed = true;
+      } else if (!next.resident[p] && plan_.resident[p]) {
+        EvictPartition(p);
+        pinned_updates_[p] = {};  // between iterations: empty; free capacity
+        changed = true;
+      }
+    }
+    if (changed) {
+      ++replans_;
+    }
+    plan_ = std::move(next);
+  }
+
+  // Incremental plan application: record which partitions migrate; each
+  // lands at its own scatter boundary (AtPartitionBoundary). The byte and
+  // savings accounting jumps to the delta's target immediately — it is a
+  // planning gauge, while the resident bitmap tracks physical state.
+  void StageDelta(ResidencyDelta delta) {
+    plan_.resident_bytes = delta.plan.resident_bytes;
+    plan_.avoided_bytes_per_iteration = delta.plan.avoided_bytes_per_iteration;
+    if (delta.empty()) {
+      return;
+    }
+    for (uint32_t p : delta.evict) {
+      pending_evict_[p] = 1;
+    }
+    for (uint32_t p : delta.promote) {
+      pending_promote_[p] = 1;
+    }
+    ++replans_;
+  }
+
+  void PushResidencyStats() {
+    stats_->resident_partition_count = plan_.resident_count();
+    stats_->resident_bytes = plan_.resident_bytes;
+    stats_->pinned_edge_bytes = edge_cache_ != nullptr ? edge_cache_->bytes() : 0;
+  }
+
   ThreadPool& pool_;
   PartitionLayout layout_;
   Options opts_;
@@ -1357,6 +1748,35 @@ class DeviceStreamStore {
   uint64_t drained_updates_ = 0;   // this iteration, via end-of-partition drain
   uint64_t absorbed_changed_ = 0;  // this iteration
   uint64_t drain_watermark_ = 0;   // records of fill_ already drain-scanned
+
+  // Residency. The planner exists only when the store can pin (CanPin);
+  // without it the pin set stays empty and every per-partition vector
+  // below stays idle.
+  std::optional<ResidencyPlanner> planner_;
+  ResidencyPlan plan_;
+  // Pinned vertex states (by partition, dense order within each) and the
+  // in-RAM update buffers of the pinned partitions.
+  std::vector<std::vector<VertexState>> pinned_;
+  std::vector<std::vector<Update>> pinned_updates_;
+  // Updates routed to each destination partition this iteration (spilled,
+  // kept in RAM, absorbed and drained alike) — next iteration's buffer
+  // estimate.
+  std::vector<uint64_t> observed_updates_;
+  // EWMA of observed_updates_ across iterations (residency_decay); this is
+  // what ObservedPlanInputs actually feeds the planner.
+  std::vector<double> smoothed_updates_;
+  obs::Gauge* smoothed_gauge_ = nullptr;
+  // Migrations staged by the last PlanDelta, awaiting their partition's
+  // scatter boundary.
+  std::vector<uint8_t> pending_promote_;
+  std::vector<uint8_t> pending_evict_;
+  // Pinned partitions' edge streams (pin_edges): privately owned in solo
+  // runs, the scan source's shared copy under the scheduler.
+  std::shared_ptr<PinnedEdgeCache> edge_cache_;
+  bool owns_edge_cache_ = false;
+  uint64_t iterations_seen_ = 0;
+  uint64_t replans_ = 0;
+  bool budget_dirty_ = false;  // SetPinBudget awaiting the next boundary
 
   std::map<StorageDevice*, DeviceStats> baselines_;
   // Counter sink. The driver rebinds this to its own RunStats (BindStats);

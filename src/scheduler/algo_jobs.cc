@@ -11,7 +11,6 @@
 #include "algorithms/spmv.h"
 #include "algorithms/sssp.h"
 #include "algorithms/wcc.h"
-#include "core/hybrid_store.h"
 #include "core/phase_runtime.h"
 #include "core/stream_store.h"
 #include "util/logging.h"
@@ -120,6 +119,13 @@ DeviceStoreOptions AttachedStoreOptions(DeviceScanSource& source, const DeviceJo
   opts.compress_updates = cfg.compress_updates;
   opts.stage_bytes = cfg.stage_bytes;
   opts.file_prefix = prefix;
+  opts.pin_budget_bytes = cfg.pin_budget_bytes;
+  opts.residency_hysteresis = cfg.residency_hysteresis;
+  opts.residency_decay = cfg.residency_decay;
+  opts.pin_edges = cfg.pin_edges;
+  if (cfg.pin_edges) {
+    opts.shared_edge_cache = source.EnsureEdgeCache();
+  }
   source.ConfigureAttachedStore(opts);
   return opts;
 }
@@ -145,23 +151,6 @@ std::unique_ptr<ScheduledJob> MakeDeviceJobFor(
     std::string (*summarize)(const JobOutput&), DeviceScanSource& source,
     StorageDevice& update_dev, StorageDevice& vertex_dev, const DeviceJobConfig& cfg,
     const std::string& prefix, std::shared_ptr<JobOutput> out) {
-  if (cfg.hybrid) {
-    HybridStoreOptions opts;
-    static_cast<DeviceStoreOptions&>(opts) = AttachedStoreOptions(source, cfg, prefix);
-    opts.pin_budget_bytes = cfg.pin_budget_bytes;
-    opts.residency_hysteresis = cfg.residency_hysteresis;
-    opts.residency_decay = cfg.residency_decay;
-    opts.pin_edges = cfg.pin_edges;
-    if (cfg.pin_edges) {
-      opts.shared_edge_cache = source.EnsureEdgeCache();
-    }
-    auto store = std::make_unique<HybridStreamStore<Algo>>(
-        source.pool(), source.layout(), opts, source.edge_device(), update_dev, vertex_dev,
-        std::string());
-    CheckChunkFitsBuffer(source, *store, spec);
-    return FinishBuild(spec, std::move(algo), std::move(store), max_iters, std::move(out),
-                       extract, summarize);
-  }
   auto store = std::make_unique<DeviceStreamStore<Algo>>(
       source.pool(), source.layout(), AttachedStoreOptions(source, cfg, prefix),
       source.edge_device(), update_dev, vertex_dev, std::string());

@@ -47,10 +47,13 @@ struct JobOutput {
 };
 
 // Store/driver knobs for jobs built against a device scan source. Mirrors
-// the OutOfCoreConfig fields that make sense per job.
+// the HybridConfig fields that make sense per job.
 struct DeviceJobConfig {
   uint64_t memory_budget_bytes = 64ull << 20;  // §3.4 streaming budget
   size_t io_unit_bytes = 1 << 20;
+  // §3.2 optimization 1. Off keeps the job's vertices in files, which lets
+  // it pin partitions when its scan source collected destination tallies;
+  // the scheduler's budget re-split then drives its residency planner.
   bool allow_vertex_memory_opt = true;
   bool allow_update_memory_opt = true;
   bool absorb_local_updates = true;
@@ -60,25 +63,23 @@ struct DeviceJobConfig {
   bool compress_updates = false;
   // Per-thread staging for the job's single-stage shuffles; 0 = legacy.
   size_t stage_bytes = 0;
-  // Hybrid (partially resident) job stores instead of plain device stores;
-  // the scheduler's budget re-split then drives their residency planners.
-  bool hybrid = false;
+  // Pinning jobs only (file-resident vertices, tallying scan source):
   uint64_t pin_budget_bytes = 0;  // initial; a scheduler budget overrides it
-  // Hybrid jobs: iterations a partition must win/lose its pin before the
-  // incremental re-plan migrates it (0 = legacy full re-plan).
+  // Iterations a partition must win/lose its pin before the incremental
+  // re-plan migrates it (0 = stop-the-world full re-plan).
   uint32_t residency_hysteresis = 2;
-  // Hybrid jobs: EWMA decay for the planner's observed-update-volume signal
-  // (0 = legacy last-iteration-only behaviour).
+  // EWMA decay for the planner's observed-update-volume signal (0 = last
+  // iteration only).
   double residency_decay = 0.0;
-  // Hybrid jobs: cache pinned partitions' edge streams in the scan source's
-  // shared PinnedEdgeCache — all jobs hit one RAM copy, priced centrally
-  // against the scheduler budget.
+  // Cache pinned partitions' edge streams in the scan source's shared
+  // PinnedEdgeCache — all jobs hit one RAM copy, priced centrally against
+  // the scheduler budget.
   bool pin_edges = false;
 };
 
-// Builds a job whose DeviceStreamStore/HybridStreamStore attaches to the
-// scan source's edge files; update and vertex files are created on the given
-// devices under `file_prefix`.
+// Builds a job whose DeviceStreamStore attaches to the scan source's edge
+// files; update and vertex files are created on the given devices under
+// `file_prefix`.
 std::unique_ptr<ScheduledJob> MakeDeviceJob(const JobSpec& spec, DeviceScanSource& source,
                                             StorageDevice& update_dev,
                                             StorageDevice& vertex_dev,

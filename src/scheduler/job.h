@@ -59,8 +59,9 @@ class ScheduledJob {
   // budget.
   virtual uint64_t FixedBytes() const = 0;
 
-  // Pin-capable jobs (hybrid stores) additionally accept a share of the
-  // budget left over after every active job's fixed footprint.
+  // Pin-capable jobs (device stores with file-resident vertices and
+  // destination tallies) additionally accept a share of the budget left
+  // over after every active job's fixed footprint.
   virtual bool CanPin() const = 0;
   virtual void SetPinBudget(uint64_t bytes) = 0;
 
@@ -117,7 +118,11 @@ class TypedJob final : public ScheduledJob {
   uint64_t FixedBytes() const override { return store_->ResidentFootprintBytes(); }
 
   bool CanPin() const override {
-    return requires(Store& s, uint64_t b) { s.SetPinBudget(b); };
+    if constexpr (requires(const Store& s) { s.CanPin(); }) {
+      return store_->CanPin();
+    } else {
+      return false;
+    }
   }
 
   void SetPinBudget(uint64_t bytes) override {

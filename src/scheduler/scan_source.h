@@ -53,7 +53,7 @@ class ScanSource {
 
   // RAM this source currently holds on behalf of its attached jobs beyond
   // the shared edge representation itself — the pinned-edge cache bytes
-  // hybrid jobs requested. Introspection only: the bytes are already
+  // pinning jobs requested. Introspection only: the bytes are already
   // bounded by the jobs' pin budgets, since every pinning job prices edge
   // bytes into its own plan.
   virtual uint64_t PinnedResidentBytes() const { return 0; }
@@ -75,7 +75,8 @@ class DeviceScanSource : public ScanSource {
     uint64_t buffer_bytes = 0;
     std::string file_prefix = "scan";
     // Tally destination/local edges during setup (one extra PartitionOf per
-    // edge) so attached hybrid jobs can price pins without their own pass.
+    // edge) so attached jobs with file-resident vertices can price pins
+    // without their own pass. Without them, attached jobs never pin.
     bool collect_dst_tallies = true;
   };
 
@@ -98,7 +99,7 @@ class DeviceScanSource : public ScanSource {
   const std::vector<uint64_t>& local_edge_counts() const { return local_edge_counts_; }
 
   // The shared pinned-edge cache (created eagerly at construction, so
-  // handing it to concurrently built jobs is race-free): attached hybrid
+  // handing it to concurrently built jobs is race-free): attached pinning
   // jobs with pin_edges on Request()/Release() partitions in it as their
   // residency plans migrate, and the shared scan fills it and serves sealed
   // partitions from RAM — N concurrent jobs hit one copy of the cached
@@ -110,12 +111,15 @@ class DeviceScanSource : public ScanSource {
   uint64_t EdgeReadsAvoidedBytes() const override { return edge_cache_->served_bytes(); }
 
   // Fills the attach-mode fields of a job store's options so it opens this
-  // source's edge files instead of partitioning its own.
+  // source's edge files instead of partitioning its own, and hands over the
+  // setup tallies when they were collected.
   void ConfigureAttachedStore(DeviceStoreOptions& opts) const {
     opts.attach_edge_files = true;
     opts.edge_file_prefix = opts_.file_prefix;
-    opts.shared_dst_tallies = &dst_edge_counts_;
-    opts.shared_local_tallies = &local_edge_counts_;
+    if (opts_.collect_dst_tallies) {
+      opts.shared_dst_tallies = &dst_edge_counts_;
+      opts.shared_local_tallies = &local_edge_counts_;
+    }
   }
 
  private:

@@ -467,7 +467,7 @@ void JobScheduler::ResplitBudget() {
   obs::MetricsRegistry::Global().counter("scheduler.budget_resplits").Add();
   // Each share lands as a forced PlanDelta at the job's next iteration
   // boundary: only the partitions the new budget flips migrate, one at a
-  // time at their scatter boundaries (HybridStreamStore::SetPinBudget).
+  // time at their scatter boundaries (DeviceStreamStore::SetPinBudget).
   for (ActiveJob& aj : active_) {
     if (aj.job->CanPin()) {
       aj.job->SetPinBudget(pool / pin_capable);

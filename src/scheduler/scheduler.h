@@ -20,7 +20,7 @@
 //
 // Admission control: an optional memory budget gates admission by each
 // job's fixed footprint (vertex slabs + stream buffers), and whatever
-// remains is re-split evenly across the pin-capable (hybrid-store) jobs'
+// remains is re-split evenly across the pin-capable jobs'
 // residency planners every time a job enters or leaves — ResidencyPlanner
 // budgets move at runtime.
 //
@@ -110,7 +110,7 @@ struct SchedulerStats {
   uint64_t jobs_rejected = 0;  // TrySubmit refusals (queue depth / memory share)
   uint64_t budget_resplits = 0;  // admission/retirement pin-budget re-splits
   // Edge bytes the scan source served from its shared pinned-edge cache
-  // instead of the edge device (hybrid jobs with pin_edges).
+  // instead of the edge device (pinning jobs with pin_edges).
   uint64_t edge_reads_avoided_bytes = 0;
 };
 

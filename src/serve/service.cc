@@ -31,6 +31,12 @@ obs::HttpResponse JsonError(int status, const std::string& message,
   return resp;
 }
 
+// True if `v` is an integer in [lo, hi]. Casting unchecked JSON numbers
+// would wrap negatives, truncate fractions, and is undefined past 2^63.
+bool IsIntegerIn(double v, double lo, double hi) {
+  return v >= lo && v <= hi && v == std::floor(v);
+}
+
 // Validates and converts one POST body into a JobSpec for a graph of
 // `num_vertices` vertices. The factory's own ParseJobSpec aborts on bad
 // algos (CLI semantics); a service must answer 400 instead, so the
@@ -63,22 +69,26 @@ bool SpecFromJson(const JsonValue& body, uint64_t num_vertices, JobSpec* spec,
         return false;
       }
       if (key == "root" || key == "src") {
-        // A cast would wrap negatives and truncate fractions, and a root
-        // past the graph would run as an empty traversal.
-        double root = value.as_double();
-        if (!(root >= 0.0) || root != std::floor(root) ||
-            root >= static_cast<double>(num_vertices)) {
+        // A root past the graph would run as an empty traversal.
+        if (!IsIntegerIn(value.as_double(), 0, static_cast<double>(num_vertices) - 1)) {
           *error = "param \"" + key + "\" must be an integer vertex id in [0, " +
                    std::to_string(num_vertices) + ")";
           return false;
         }
-        spec->root = static_cast<VertexId>(root);
-      } else if (key == "iterations" || key == "iters") {
-        spec->iterations = static_cast<uint64_t>(value.as_int());
+        spec->root = static_cast<VertexId>(value.as_double());
+      } else if (key == "iterations" || key == "iters" || key == "max_iterations") {
+        if (!IsIntegerIn(value.as_double(), 1, 1e6)) {
+          *error = "param \"" + key + "\" must be an integer in [1, 1000000]";
+          return false;
+        }
+        (key == "max_iterations" ? spec->max_iterations : spec->iterations) =
+            static_cast<uint64_t>(value.as_double());
       } else if (key == "seed") {
-        spec->seed = static_cast<uint64_t>(value.as_int());
-      } else if (key == "max_iterations") {
-        spec->max_iterations = static_cast<uint64_t>(value.as_int());
+        if (!IsIntegerIn(value.as_double(), 0, 0x1p53)) {
+          *error = "param \"seed\" must be an integer in [0, 2^53]";
+          return false;
+        }
+        spec->seed = static_cast<uint64_t>(value.as_double());
       } else {
         *error = "unknown param \"" + key + "\"";
         return false;
@@ -128,6 +138,7 @@ void GraphService::Mount(GraphSpec spec) {
     DeviceScanSource::Options sopts;
     sopts.io_unit_bytes = opts_.io_unit_bytes;
     sopts.file_prefix = spec.name + ".scan";
+    // Only hybrid jobs pin, and pins are priced from these tallies.
     sopts.collect_dst_tallies = opts_.engine == "hybrid";
     ctx->source = std::make_unique<DeviceScanSource>(pool_, ctx->layout, sopts, *ctx->disk,
                                                      edge_file);
@@ -355,7 +366,8 @@ obs::HttpResponse GraphService::SubmitJob(const obs::HttpRequest& request) {
     DeviceJobConfig jcfg;
     jcfg.memory_budget_bytes = opts_.job_budget_bytes;
     jcfg.io_unit_bytes = opts_.io_unit_bytes;
-    jcfg.hybrid = opts_.engine == "hybrid";
+    // Hybrid jobs keep their vertices in files so they can pin partitions.
+    jcfg.allow_vertex_memory_opt = opts_.engine != "hybrid";
     job = MakeDeviceJob(spec, static_cast<DeviceScanSource&>(*graph->source), *graph->disk,
                         *graph->disk, jcfg, graph->name + ".q" + std::to_string(id), output);
   }

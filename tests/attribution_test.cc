@@ -16,7 +16,6 @@
 #include "algorithms/algorithms.h"
 #include "core/hybrid_engine.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -173,14 +172,14 @@ TEST(AttributionReconcileTest, OutOfCoreWaitsMatchRunStats) {
   GraphInfo info = ScanEdges(edges);
   SimDevice dev("d", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
-  OutOfCoreConfig config;
+  HybridConfig config;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 17;  // force spills and file vertices
+  config.streaming_budget_bytes = 1 << 17;  // force spills and file vertices
   config.io_unit_bytes = 16 * 1024;
   config.num_partitions = 8;
   config.allow_vertex_memory_opt = false;
   config.allow_update_memory_opt = false;
-  OutOfCoreEngine<PageRankAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<PageRankAlgorithm> engine(config, dev, dev, dev, "input", info);
   PageRankResult result = RunPageRank(engine, 3);
 
   const RunStats& stats = engine.stats();
@@ -342,12 +341,13 @@ TEST(CpuProfilerTest, SafeAlongsideIoExecutorThreads) {
   GraphInfo info = ScanEdges(edges);
   SimDevice dev("p", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 18;
+  config.streaming_budget_bytes = 1 << 18;
   config.io_unit_bytes = 16 * 1024;
   config.num_partitions = 4;
-  OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
   WccResult result = RunWcc(engine);
   prof.Stop();
 

@@ -4,7 +4,7 @@
 #include "algorithms/pagerank.h"
 #include "algorithms/wcc.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "partitioning/partitioner.h"
@@ -83,15 +83,16 @@ TEST(CheckpointTest, OutOfCoreMemoryResidentVertices) {
   SimDevice ckpt("ckpt", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
 
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = 2;
   config.io_unit_bytes = 8 << 10;
-  OutOfCoreEngine<PageRankAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<PageRankAlgorithm> engine(config, dev, dev, dev, "input", info);
   ASSERT_TRUE(engine.vertices_in_memory());
   PageRankResult done = RunPageRank(engine, 3);
   engine.SaveVertexStates(ckpt, "pr.ckpt");
 
-  OutOfCoreEngine<PageRankAlgorithm> fresh(config, dev, dev, dev, "input", info);
+  HybridEngine<PageRankAlgorithm> fresh(config, dev, dev, dev, "input", info);
   fresh.LoadVertexStates(ckpt, "pr.ckpt");
   std::vector<float> restored(info.num_vertices);
   fresh.VertexFold(0, [&restored](int acc, VertexId v,
@@ -111,17 +112,17 @@ TEST(CheckpointTest, OutOfCoreFileResidentVertices) {
   SimDevice ckpt("ckpt", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
 
-  OutOfCoreConfig config;
+  HybridConfig config;
   config.threads = 2;
   config.io_unit_bytes = 8 << 10;
   config.num_partitions = 8;
   config.allow_vertex_memory_opt = false;
-  OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
   ASSERT_FALSE(engine.vertices_in_memory());
   WccResult done = RunWcc(engine);
   engine.SaveVertexStates(ckpt, "wcc.ckpt");
 
-  OutOfCoreEngine<WccAlgorithm> fresh(config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> fresh(config, dev, dev, dev, "input", info);
   fresh.LoadVertexStates(ckpt, "wcc.ckpt");
   std::vector<VertexId> restored(info.num_vertices);
   fresh.VertexFold(0, [&restored](int acc, VertexId v, const WccAlgorithm::VertexState& s) {
@@ -142,19 +143,20 @@ TEST(CheckpointTest, MappedCheckpointRestoresUnderSameMapping) {
   WriteEdgeFile(dev, "input", edges);
 
   auto partitioner = MakePartitioner("greedy");
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = 2;
   config.io_unit_bytes = 8 << 10;
   config.num_partitions = 4;
   config.partitioner = partitioner.get();
-  OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
   WccResult done = RunWcc(engine);
   engine.SaveVertexStates(ckpt, "wcc.ckpt");
 
   auto same = MakePartitioner("greedy");
-  OutOfCoreConfig config2 = config;
+  HybridConfig config2 = config;
   config2.partitioner = same.get();
-  OutOfCoreEngine<WccAlgorithm> fresh(config2, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> fresh(config2, dev, dev, dev, "input", info);
   fresh.LoadVertexStates(ckpt, "wcc.ckpt");
   std::vector<VertexId> restored(info.num_vertices);
   fresh.VertexMap([&restored](VertexId v, const WccAlgorithm::VertexState& s) {
@@ -171,26 +173,27 @@ TEST(CheckpointTest, MappedCheckpointRejectsDifferentPartitioner) {
   WriteEdgeFile(dev, "input", edges);
 
   auto greedy = MakePartitioner("greedy");
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = 1;
   config.io_unit_bytes = 8 << 10;
   config.num_partitions = 4;
   config.partitioner = greedy.get();
-  OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
   RunWcc(engine);
   engine.SaveVertexStates(ckpt, "wcc.ckpt");
 
   // Same family of layouts (mapped) but a different assignment.
   auto hash = MakePartitioner("hash");
-  OutOfCoreConfig hash_config = config;
+  HybridConfig hash_config = config;
   hash_config.partitioner = hash.get();
-  OutOfCoreEngine<WccAlgorithm> other(hash_config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> other(hash_config, dev, dev, dev, "input", info);
   EXPECT_DEATH(other.LoadVertexStates(ckpt, "wcc.ckpt"), "different vertex mapping");
 
   // Range layout (no mapping at all) is also a mismatch.
-  OutOfCoreConfig range_config = config;
+  HybridConfig range_config = config;
   range_config.partitioner = nullptr;
-  OutOfCoreEngine<WccAlgorithm> range_engine(range_config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> range_engine(range_config, dev, dev, dev, "input", info);
   EXPECT_DEATH(range_engine.LoadVertexStates(ckpt, "wcc.ckpt"),
                "restore with the same --partitioner");
 }

@@ -7,7 +7,7 @@
 
 #include "algorithms/algorithms.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -33,19 +33,19 @@ struct OocHarness {
     dev = std::make_unique<SimDevice>("d", DeviceProfile::Instant());
     WriteEdgeFile(*dev, "input", edges);
     GraphInfo info = ScanEdges(edges);
-    OutOfCoreConfig config;
+    HybridConfig config;
     config.threads = static_cast<int>(threads);
-    config.memory_budget_bytes = budget;
+    config.streaming_budget_bytes = budget;
     config.io_unit_bytes = 16 * 1024;
     config.num_partitions = partitions;
     config.allow_vertex_memory_opt = allow_mem_opts;
     config.allow_update_memory_opt = allow_mem_opts;
     config.absorb_local_updates = absorb_local_updates;
-    engine = std::make_unique<OutOfCoreEngine<Algo>>(config, *dev, *dev, *dev, "input", info);
+    engine = std::make_unique<HybridEngine<Algo>>(config, *dev, *dev, *dev, "input", info);
   }
 
   std::unique_ptr<SimDevice> dev;
-  std::unique_ptr<OutOfCoreEngine<Algo>> engine;
+  std::unique_ptr<HybridEngine<Algo>> engine;
 };
 
 EdgeList TestGraph(uint64_t seed = 5) {
@@ -547,11 +547,12 @@ TEST(OocEngineTest, IngestEdgesExtendsGraph) {
   GraphInfo info;
   info.num_vertices = 100;
   info.num_edges = both.size();
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 20;
+  config.streaming_budget_bytes = 1 << 20;
   config.io_unit_bytes = 16 * 1024;
-  OutOfCoreEngine<WccAlgorithm> engine(config, *dev, *dev, *dev, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, *dev, *dev, *dev, "input", info);
 
   WccResult before = RunWcc(engine);
   EXPECT_EQ(before.num_components, 2u);

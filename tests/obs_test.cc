@@ -13,7 +13,6 @@
 #include "algorithms/wcc.h"
 #include "core/hybrid_engine.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
@@ -341,11 +340,12 @@ TEST(RunStatsJsonTest, SchemaIdenticalAcrossEngineModes) {
 
   SimDevice ooc_dev("ooc", DeviceProfile::Instant());
   WriteEdgeFile(ooc_dev, "input", edges);
-  OutOfCoreConfig ooc_config;
+  HybridConfig ooc_config;
+  ooc_config.allow_vertex_memory_opt = true;
   ooc_config.threads = 2;
   ooc_config.num_partitions = 4;
   ooc_config.io_unit_bytes = 16 << 10;
-  OutOfCoreEngine<WccAlgorithm> ooc(ooc_config, ooc_dev, ooc_dev, ooc_dev, "input", info);
+  HybridEngine<WccAlgorithm> ooc(ooc_config, ooc_dev, ooc_dev, ooc_dev, "input", info);
   RunStats ooc_stats = RunWcc(ooc).stats;
 
   SimDevice hyb_dev("hyb", DeviceProfile::Instant());

@@ -8,7 +8,7 @@
 
 #include "algorithms/algorithms.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "core/semi_streaming.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
@@ -224,15 +224,15 @@ TEST(PartitionedEngineTest, OutOfCoreResultsIdenticalAcrossStrategies) {
     auto partitioner = MakePartitioner(name);
     SimDevice dev("d", DeviceProfile::Instant());
     WriteEdgeFile(dev, "input", edges);
-    OutOfCoreConfig config;
+    HybridConfig config;
     config.threads = 2;
-    config.memory_budget_bytes = 1ull << 20;
+    config.streaming_budget_bytes = 1ull << 20;
     config.io_unit_bytes = 16 * 1024;
     config.num_partitions = 4;
     config.allow_vertex_memory_opt = false;  // file-resident vertex states
     config.allow_update_memory_opt = false;
     config.partitioner = partitioner.get();
-    OutOfCoreEngine<BfsAlgorithm> engine(config, dev, dev, dev, "input", info);
+    HybridEngine<BfsAlgorithm> engine(config, dev, dev, dev, "input", info);
     ASSERT_FALSE(engine.vertices_in_memory());
     BfsResult bfs = RunBfs(engine, 3);
     EXPECT_EQ(bfs.levels, ref_levels) << name;
@@ -259,16 +259,16 @@ TEST(PartitionedEngineTest, AbsorptionPreservesResultsAndCutsUpdateTraffic) {
   for (int absorb = 0; absorb < 2; ++absorb) {
     SimDevice dev("d", DeviceProfile::Instant());
     WriteEdgeFile(dev, "input", edges);
-    OutOfCoreConfig config;
+    HybridConfig config;
     config.threads = 2;
-    config.memory_budget_bytes = 1ull << 20;
+    config.streaming_budget_bytes = 1ull << 20;
     config.io_unit_bytes = 16 * 1024;
     config.num_partitions = 4;
     config.allow_vertex_memory_opt = false;
     config.allow_update_memory_opt = false;
     config.absorb_local_updates = absorb == 1;
     config.partitioner = partitioner.get();
-    OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
+    HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
     WccResult r = RunWcc(engine);
     labels[absorb] = r.labels;
     stats[absorb] = r.stats;

@@ -16,9 +16,7 @@
 
 #include "algorithms/algorithms.h"
 #include "core/hybrid_engine.h"
-#include "core/hybrid_store.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
 #include "core/phase_runtime.h"
 #include "core/residency.h"
 #include "core/stream_store.h"
@@ -35,10 +33,8 @@ namespace {
 
 static_assert(StreamStoreFor<MemoryStreamStore<WccAlgorithm>>);
 static_assert(StreamStoreFor<DeviceStreamStore<WccAlgorithm>>);
-static_assert(StreamStoreFor<HybridStreamStore<WccAlgorithm>>);
 static_assert(MemoryStreamStore<WccAlgorithm>::kPartitionParallel);
 static_assert(!DeviceStreamStore<WccAlgorithm>::kPartitionParallel);
-static_assert(!HybridStreamStore<WccAlgorithm>::kPartitionParallel);
 
 EdgeList TestGraph(uint64_t seed, uint32_t scale = 9) {
   RmatParams params;
@@ -77,24 +73,11 @@ struct RuntimeHarness {
     DeviceStreamStore<Algo> store(pool, layout, opts, dev, dev, dev, "input");
     StreamingPhaseDriver<Algo, DeviceStreamStore<Algo>> driver(store, {});
     stats = driver.Run(algo, max_iters);
+    resident_at_end = store.residency_plan().resident_count();
+    replans = store.replans();
     // Executor accounting: every async spill/read request submitted to the
     // device's I/O thread must have completed once the run returns.
     EXPECT_GT(dev.executor().submitted(), 0u);
-    EXPECT_EQ(dev.executor().in_flight(), 0u);
-    return Extract(driver, layout);
-  }
-
-  std::vector<typename Algo::VertexState> RunHybrid(Algo algo, const EdgeList& edges,
-                                                    PartitionLayout layout,
-                                                    const HybridStoreOptions& opts,
-                                                    uint64_t max_iters = UINT64_MAX) {
-    SimDevice dev("d", DeviceProfile::Instant());
-    WriteEdgeFile(dev, "input", edges);
-    HybridStreamStore<Algo> store(pool, layout, opts, dev, dev, dev, "input");
-    StreamingPhaseDriver<Algo, HybridStreamStore<Algo>> driver(store, {});
-    stats = driver.Run(algo, max_iters);
-    resident_at_end = store.residency_plan().resident_count();
-    replans = store.replans();
     EXPECT_EQ(dev.executor().in_flight(), 0u);
     return Extract(driver, layout);
   }
@@ -294,11 +277,11 @@ TEST(PhaseRuntimeTest, DriverCheckpointRoundtripAcrossStores) {
 }
 
 // ---------------------------------------------------------------------------
-// HybridStreamStore: the partially resident store, swept across pin budgets.
+// DeviceStreamStore with pins: the partially resident store, swept across
+// pin budgets.
 
-HybridStoreOptions SmallHybridOpts(uint64_t pin_budget) {
-  HybridStoreOptions opts;
-  static_cast<DeviceStoreOptions&>(opts) = SmallDeviceOpts(/*spill_heavy=*/true);
+DeviceStoreOptions SmallHybridOpts(uint64_t pin_budget) {
+  DeviceStoreOptions opts = SmallDeviceOpts(/*spill_heavy=*/true);
   opts.pin_budget_bytes = pin_budget;
   return opts;
 }
@@ -309,7 +292,7 @@ template <EdgeCentricAlgorithm Algo>
 uint64_t FullPinBytes(ThreadPool& pool, const EdgeList& edges, PartitionLayout layout) {
   SimDevice dev("probe", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
-  HybridStreamStore<Algo> store(pool, layout, SmallHybridOpts(0), dev, dev, dev, "input");
+  DeviceStreamStore<Algo> store(pool, layout, SmallHybridOpts(0), dev, dev, dev, "input");
   return store.FullPinBytes();
 }
 
@@ -352,12 +335,11 @@ TEST(PhaseRuntimeTest, CompressionAndStagingAreResultInvariant) {
         ASSERT_NEAR(p[v].rank, pr_mem[v].rank, 1e-5) << "device store, vertex " << v;
       }
 
-      HybridStoreOptions hopts;
-      static_cast<DeviceStoreOptions&>(hopts) = opts;
+      DeviceStoreOptions hopts = opts;
       hopts.pin_budget_bytes = half_pin;
-      auto hw_got = hw.RunHybrid(WccAlgorithm{}, edges, layout, hopts);
-      auto hb_got = hb.RunHybrid(BfsAlgorithm(0), edges, layout, hopts);
-      auto hp_got = hp.RunHybrid(pr, edges, layout, hopts, 4);
+      auto hw_got = hw.RunDevice(WccAlgorithm{}, edges, layout, hopts);
+      auto hb_got = hb.RunDevice(BfsAlgorithm(0), edges, layout, hopts);
+      auto hp_got = hp.RunDevice(pr, edges, layout, hopts, 4);
       for (uint64_t v = 0; v < info.num_vertices; ++v) {
         ASSERT_EQ(hw_got[v].label, wcc_ref[v]) << "hybrid store, vertex " << v;
         ASSERT_EQ(hb_got[v].level, bfs_ref[v]) << "hybrid store, vertex " << v;
@@ -440,7 +422,7 @@ TEST(HybridStoreTest, WccMatchesReferenceAtBudgetsZeroHalfFull) {
   uint64_t full = FullPinBytes<WccAlgorithm>(h.pool, edges, layout);
   ASSERT_GT(full, 0u);
   for (uint64_t budget : {uint64_t{0}, full / 2, full}) {
-    auto got = h.RunHybrid(WccAlgorithm{}, edges, layout, SmallHybridOpts(budget));
+    auto got = h.RunDevice(WccAlgorithm{}, edges, layout, SmallHybridOpts(budget));
     for (uint64_t v = 0; v < info.num_vertices; ++v) {
       ASSERT_EQ(got[v].label, expected[v]) << "budget " << budget << ", vertex " << v;
     }
@@ -471,7 +453,7 @@ TEST(HybridStoreTest, BfsMatchesReferenceAtBudgetsZeroHalfFull) {
   RuntimeHarness<BfsAlgorithm> h(2);
   uint64_t full = FullPinBytes<BfsAlgorithm>(h.pool, edges, layout);
   for (uint64_t budget : {uint64_t{0}, full / 2, full}) {
-    auto got = h.RunHybrid(BfsAlgorithm(0), edges, layout, SmallHybridOpts(budget));
+    auto got = h.RunDevice(BfsAlgorithm(0), edges, layout, SmallHybridOpts(budget));
     for (uint64_t v = 0; v < info.num_vertices; ++v) {
       ASSERT_EQ(got[v].level, expected[v]) << "budget " << budget << ", vertex " << v;
     }
@@ -487,30 +469,48 @@ TEST(HybridStoreTest, PageRankMatchesMemoryStoreAtBudgetsZeroHalfFull) {
   auto mem = h.RunMemory(algo, edges, layout, 4);
   uint64_t full = FullPinBytes<PageRankAlgorithm>(h.pool, edges, layout);
   for (uint64_t budget : {uint64_t{0}, full / 2, full}) {
-    auto got = h.RunHybrid(algo, edges, layout, SmallHybridOpts(budget), 4);
+    auto got = h.RunDevice(algo, edges, layout, SmallHybridOpts(budget), 4);
     for (uint64_t v = 0; v < info.num_vertices; ++v) {
       ASSERT_NEAR(got[v].rank, mem[v].rank, 1e-5) << "budget " << budget << ", vertex " << v;
     }
   }
 }
 
-TEST(HybridStoreTest, BudgetZeroMatchesDeviceStoreBitForBit) {
-  // With an empty pin set every shadowed method degenerates to the base
-  // behavior: even floating-point results must be bit-identical because the
-  // gather order is the same.
+TEST(HybridStoreTest, BudgetZeroMatchesStoreThatCannotPinBitForBit) {
+  // Pin budget 0 is the paper's §3 store: a store with a planner (solo,
+  // tallied at setup) and a store without one (attached to edge files whose
+  // owner collected no tallies, as out-of-core scheduler jobs are) gather in
+  // the same order, so even floating-point results are bit-identical.
   EdgeList edges = TestGraph(37);
   GraphInfo info = ScanEdges(edges);
   PartitionLayout layout(info.num_vertices, 4);
   RuntimeHarness<PageRankAlgorithm> h(2);
-  PageRankAlgorithm algo(info.num_vertices, 3);
-  auto dev = h.RunDevice(algo, edges, layout, SmallDeviceOpts(true), 3);
-  RunStats dev_stats = h.stats;
-  auto hyb = h.RunHybrid(algo, edges, layout, SmallHybridOpts(0), 3);
+  SimDevice dev("d", DeviceProfile::Instant());
+  WriteEdgeFile(dev, "input", edges);
+  auto run = [&](const DeviceStoreOptions& opts, bool can_pin, RunStats* stats) {
+    DeviceStreamStore<PageRankAlgorithm> store(h.pool, layout, opts, dev, dev, dev, "input");
+    EXPECT_EQ(store.CanPin(), can_pin);
+    StreamingPhaseDriver<PageRankAlgorithm, DeviceStreamStore<PageRankAlgorithm>> driver(
+        store, {});
+    PageRankAlgorithm algo(info.num_vertices, 3);
+    *stats = driver.Run(algo, 3);
+    return h.Extract(driver, layout);
+  };
+  RunStats pinnable_stats;
+  auto pinnable = run(SmallHybridOpts(0), true, &pinnable_stats);
+  DeviceStoreOptions attached = SmallHybridOpts(0);
+  attached.attach_edge_files = true;
+  attached.edge_file_prefix = "xs";  // the first store's edge files
+  attached.file_prefix = "attached";
+  RunStats plain_stats;
+  auto plain = run(attached, false, &plain_stats);
   for (uint64_t v = 0; v < info.num_vertices; ++v) {
-    ASSERT_EQ(hyb[v].rank, dev[v].rank) << "vertex " << v;
+    ASSERT_EQ(pinnable[v].rank, plain[v].rank) << "vertex " << v;
   }
-  EXPECT_EQ(h.stats.update_file_bytes, dev_stats.update_file_bytes);
-  EXPECT_EQ(h.stats.updates_generated, dev_stats.updates_generated);
+  EXPECT_GT(plain_stats.update_file_bytes, 0u);
+  EXPECT_EQ(pinnable_stats.update_file_bytes, plain_stats.update_file_bytes);
+  EXPECT_EQ(pinnable_stats.updates_generated, plain_stats.updates_generated);
+  EXPECT_EQ(pinnable_stats.resident_partition_count, 0u);
 }
 
 TEST(HybridStoreTest, MidRunReplanMigratesPinsAndStaysCorrect) {
@@ -522,10 +522,10 @@ TEST(HybridStoreTest, MidRunReplanMigratesPinsAndStaysCorrect) {
   RuntimeHarness<WccAlgorithm> h(2);
   SimDevice dev("d", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
-  HybridStoreOptions opts = SmallHybridOpts(uint64_t{1} << 30);  // pins everything
+  DeviceStoreOptions opts = SmallHybridOpts(uint64_t{1} << 30);  // pins everything
   opts.replan_between_iterations = false;  // only the explicit re-plan below
-  HybridStreamStore<WccAlgorithm> store(h.pool, layout, opts, dev, dev, dev, "input");
-  StreamingPhaseDriver<WccAlgorithm, HybridStreamStore<WccAlgorithm>> driver(store, {});
+  DeviceStreamStore<WccAlgorithm> store(h.pool, layout, opts, dev, dev, dev, "input");
+  StreamingPhaseDriver<WccAlgorithm, DeviceStreamStore<WccAlgorithm>> driver(store, {});
   ASSERT_EQ(store.residency_plan().resident_count(), layout.num_partitions());
 
   WccAlgorithm algo;
@@ -565,9 +565,9 @@ TEST(HybridStoreTest, AutomaticReplanKeepsBfsCorrectAtHalfBudget) {
 
   RuntimeHarness<BfsAlgorithm> h(2);
   uint64_t full = FullPinBytes<BfsAlgorithm>(h.pool, edges, layout);
-  HybridStoreOptions opts = SmallHybridOpts(full / 2);
+  DeviceStoreOptions opts = SmallHybridOpts(full / 2);
   ASSERT_TRUE(opts.replan_between_iterations);
-  auto got = h.RunHybrid(BfsAlgorithm(0), edges, layout, opts);
+  auto got = h.RunDevice(BfsAlgorithm(0), edges, layout, opts);
   for (uint64_t v = 0; v < info.num_vertices; ++v) {
     ASSERT_EQ(got[v].level, expected[v]) << "vertex " << v;
   }
@@ -585,9 +585,9 @@ TEST(HybridStoreTest, EdgePinningServesRepeatScansFromRamIdentically) {
   std::vector<VertexId> expected = ReferenceWcc(edges, info.num_vertices);
 
   RuntimeHarness<WccAlgorithm> h(2);
-  HybridStoreOptions opts = SmallHybridOpts(uint64_t{1} << 30);  // pins everything
+  DeviceStoreOptions opts = SmallHybridOpts(uint64_t{1} << 30);  // pins everything
   opts.pin_edges = true;
-  auto got = h.RunHybrid(WccAlgorithm{}, edges, layout, opts);
+  auto got = h.RunDevice(WccAlgorithm{}, edges, layout, opts);
   for (uint64_t v = 0; v < info.num_vertices; ++v) {
     ASSERT_EQ(got[v].label, expected[v]) << "vertex " << v;
   }
@@ -607,9 +607,9 @@ TEST(HybridStoreTest, HysteresisZeroKeepsLegacyFullReplanBehavior) {
 
   RuntimeHarness<BfsAlgorithm> h(2);
   uint64_t full = FullPinBytes<BfsAlgorithm>(h.pool, edges, layout);
-  HybridStoreOptions opts = SmallHybridOpts(full / 2);
+  DeviceStoreOptions opts = SmallHybridOpts(full / 2);
   opts.residency_hysteresis = 0;
-  auto got = h.RunHybrid(BfsAlgorithm(0), edges, layout, opts);
+  auto got = h.RunDevice(BfsAlgorithm(0), edges, layout, opts);
   for (uint64_t v = 0; v < info.num_vertices; ++v) {
     ASSERT_EQ(got[v].level, expected[v]) << "vertex " << v;
   }
@@ -628,9 +628,9 @@ TEST(HybridStoreTest, CheckpointRoundtripsAcrossHybridAndDeviceStores) {
     SimDevice dev("d1", DeviceProfile::Instant());
     WriteEdgeFile(dev, "input", edges);
     uint64_t full = FullPinBytes<WccAlgorithm>(h.pool, edges, layout);
-    HybridStreamStore<WccAlgorithm> store(h.pool, layout, SmallHybridOpts(full / 2), dev, dev,
+    DeviceStreamStore<WccAlgorithm> store(h.pool, layout, SmallHybridOpts(full / 2), dev, dev,
                                           dev, "input");
-    StreamingPhaseDriver<WccAlgorithm, HybridStreamStore<WccAlgorithm>> driver(store, {});
+    StreamingPhaseDriver<WccAlgorithm, DeviceStreamStore<WccAlgorithm>> driver(store, {});
     WccAlgorithm algo;
     driver.Run(algo);
     driver.SaveVertexStates(ckpt, "hybrid.ckpt");
@@ -651,9 +651,9 @@ TEST(HybridStoreTest, CheckpointRoundtripsAcrossHybridAndDeviceStores) {
   {
     SimDevice dev("d3", DeviceProfile::Instant());
     WriteEdgeFile(dev, "input", edges);
-    HybridStreamStore<WccAlgorithm> store(h.pool, layout, SmallHybridOpts(uint64_t{1} << 30),
+    DeviceStreamStore<WccAlgorithm> store(h.pool, layout, SmallHybridOpts(uint64_t{1} << 30),
                                           dev, dev, dev, "input");
-    StreamingPhaseDriver<WccAlgorithm, HybridStreamStore<WccAlgorithm>> driver(store, {});
+    StreamingPhaseDriver<WccAlgorithm, DeviceStreamStore<WccAlgorithm>> driver(store, {});
     driver.LoadVertexStates(ckpt, "device.ckpt");
     driver.VertexMap([&](VertexId v, WccAlgorithm::VertexState& s) {
       ASSERT_EQ(s.label, expected[v]) << "hybrid restore, vertex " << v;

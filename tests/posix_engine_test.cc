@@ -4,7 +4,7 @@
 
 #include "algorithms/pagerank.h"
 #include "algorithms/wcc.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "core/semi_streaming.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
@@ -32,11 +32,12 @@ TEST(PosixEngineTest, WccOnRealFiles) {
   PosixDevice dev("disk", scratch.path());
   WriteEdgeFile(dev, "input", edges);
 
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 20;
+  config.streaming_budget_bytes = 1 << 20;
   config.io_unit_bytes = 64 << 10;
-  OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
   WccResult r = RunWcc(engine);
   EXPECT_EQ(r.labels, ReferenceWcc(edges, info.num_vertices));
   EXPECT_GT(dev.stats().bytes_read, 0u);
@@ -49,14 +50,14 @@ TEST(PosixEngineTest, WccWithFileResidentVerticesAndSpills) {
   PosixDevice dev("disk", scratch.path());
   WriteEdgeFile(dev, "input", edges);
 
-  OutOfCoreConfig config;
+  HybridConfig config;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 18;
+  config.streaming_budget_bytes = 1 << 18;
   config.io_unit_bytes = 16 << 10;
   config.num_partitions = 8;
   config.allow_vertex_memory_opt = false;
   config.allow_update_memory_opt = false;
-  OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
   EXPECT_FALSE(engine.vertices_in_memory());
   WccResult r = RunWcc(engine);
   EXPECT_EQ(r.labels, ReferenceWcc(edges, info.num_vertices));
@@ -72,13 +73,14 @@ TEST(PosixEngineTest, SplitDevicesForEdgesAndUpdates) {
   PosixDevice updates_dev("updates-disk", scratch_b.path());
   WriteEdgeFile(edges_dev, "input", edges);
 
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 19;
+  config.streaming_budget_bytes = 1 << 19;
   config.io_unit_bytes = 32 << 10;
   config.allow_update_memory_opt = false;  // force traffic onto updates_dev
-  OutOfCoreEngine<WccAlgorithm> engine(config, edges_dev, updates_dev, edges_dev, "input",
-                                       info);
+  HybridEngine<WccAlgorithm> engine(config, edges_dev, updates_dev, edges_dev, "input",
+                                    info);
   WccResult r = RunWcc(engine);
   EXPECT_EQ(r.labels, ReferenceWcc(edges, info.num_vertices));
   EXPECT_GT(updates_dev.stats().bytes_written, 0u);
@@ -91,11 +93,12 @@ TEST(PosixEngineTest, PageRankOnRealFiles) {
   PosixDevice dev("disk", scratch.path());
   WriteEdgeFile(dev, "input", edges);
 
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 20;
+  config.streaming_budget_bytes = 1 << 20;
   config.io_unit_bytes = 64 << 10;
-  OutOfCoreEngine<PageRankAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<PageRankAlgorithm> engine(config, dev, dev, dev, "input", info);
   PageRankResult r = RunPageRank(engine, 5);
   ReferenceGraph g(edges, info.num_vertices);
   std::vector<double> expected = ReferencePageRank(g, 5);
@@ -113,11 +116,12 @@ TEST(PosixEngineTest, DirectIoFallsBackGracefully) {
   PosixDevice dev("disk", scratch.path(), /*try_direct=*/true);
   WriteEdgeFile(dev, "input", edges);
 
-  OutOfCoreConfig config;
+  HybridConfig config;
+  config.allow_vertex_memory_opt = true;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 20;
+  config.streaming_budget_bytes = 1 << 20;
   config.io_unit_bytes = 64 << 10;
-  OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
   WccResult r = RunWcc(engine);
   EXPECT_EQ(r.labels, ReferenceWcc(edges, info.num_vertices));
 }

@@ -11,7 +11,7 @@
 
 #include "algorithms/algorithms.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -68,11 +68,12 @@ TEST_P(FamilySweep, WccMatchesReferenceOnBothEngines) {
 
   SimDevice dev("d", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
-  OutOfCoreConfig oc;
+  HybridConfig oc;
+  oc.allow_vertex_memory_opt = true;
   oc.threads = 2;
-  oc.memory_budget_bytes = 1 << 19;
+  oc.streaming_budget_bytes = 1 << 19;
   oc.io_unit_bytes = 8 << 10;
-  OutOfCoreEngine<WccAlgorithm> ooc(oc, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> ooc(oc, dev, dev, dev, "input", info);
   EXPECT_EQ(RunWcc(ooc).labels, expected);
 }
 
@@ -137,14 +138,14 @@ TEST_P(OocConfigSweep, WccCorrectUnderAllConfigs) {
 
   SimDevice dev("d", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
-  OutOfCoreConfig config;
+  HybridConfig config;
   config.threads = c.threads;
-  config.memory_budget_bytes = c.budget;
+  config.streaming_budget_bytes = c.budget;
   config.io_unit_bytes = 8 << 10;
   config.num_partitions = c.partitions;
   config.allow_vertex_memory_opt = c.mem_opts;
   config.allow_update_memory_opt = c.mem_opts;
-  OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
   EXPECT_EQ(RunWcc(engine).labels, expected);
 }
 
@@ -406,30 +407,33 @@ TEST(EngineInvariants, OocMatchesInMemForEveryAlgorithmOnOneGraph) {
     InMemoryEngine<WccAlgorithm> a(im, edges, info.num_vertices);
     auto dev = make_ooc_dev();
     WriteEdgeFile(*dev, "input", edges);
-    OutOfCoreConfig oc;
+    HybridConfig oc;
+    oc.allow_vertex_memory_opt = true;
     oc.threads = 2;
     oc.io_unit_bytes = 8 << 10;
-    OutOfCoreEngine<WccAlgorithm> b(oc, *dev, *dev, *dev, "input", info);
+    HybridEngine<WccAlgorithm> b(oc, *dev, *dev, *dev, "input", info);
     EXPECT_EQ(RunWcc(a).labels, RunWcc(b).labels);
   }
   {  // BFS levels identical.
     InMemoryEngine<BfsAlgorithm> a(im, edges, info.num_vertices);
     auto dev = make_ooc_dev();
     WriteEdgeFile(*dev, "input", edges);
-    OutOfCoreConfig oc;
+    HybridConfig oc;
+    oc.allow_vertex_memory_opt = true;
     oc.threads = 2;
     oc.io_unit_bytes = 8 << 10;
-    OutOfCoreEngine<BfsAlgorithm> b(oc, *dev, *dev, *dev, "input", info);
+    HybridEngine<BfsAlgorithm> b(oc, *dev, *dev, *dev, "input", info);
     EXPECT_EQ(RunBfs(a, 0).levels, RunBfs(b, 0).levels);
   }
   {  // PageRank within float tolerance.
     InMemoryEngine<PageRankAlgorithm> a(im, edges, info.num_vertices);
     auto dev = make_ooc_dev();
     WriteEdgeFile(*dev, "input", edges);
-    OutOfCoreConfig oc;
+    HybridConfig oc;
+    oc.allow_vertex_memory_opt = true;
     oc.threads = 2;
     oc.io_unit_bytes = 8 << 10;
-    OutOfCoreEngine<PageRankAlgorithm> b(oc, *dev, *dev, *dev, "input", info);
+    HybridEngine<PageRankAlgorithm> b(oc, *dev, *dev, *dev, "input", info);
     PageRankResult ra = RunPageRank(a, 5);
     PageRankResult rb = RunPageRank(b, 5);
     for (uint64_t v = 0; v < info.num_vertices; ++v) {

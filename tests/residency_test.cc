@@ -2,7 +2,6 @@
 // behind the hybrid engine, plus the sizing-level budget resolution.
 #include <gtest/gtest.h>
 
-#include "core/hybrid_store.h"
 #include "core/partition.h"
 #include "core/residency.h"
 #include "core/sizing.h"

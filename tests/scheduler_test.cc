@@ -18,7 +18,6 @@
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/wcc.h"
-#include "core/ooc_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -264,8 +263,8 @@ TEST(SchedulerTest, BudgetResplitsAsHybridJobsComeAndGo) {
   DeviceHarness h(edges);
   ReferenceGraph g(edges, h.info.num_vertices);
 
+  // File-resident vertices over a tallying source: every job can pin.
   DeviceJobConfig cfg = h.SpillHeavyConfig();
-  cfg.hybrid = true;
 
   // Probe one job's fixed footprint so the budget leaves a meaningful pin
   // pool for two concurrent jobs.
@@ -274,7 +273,14 @@ TEST(SchedulerTest, BudgetResplitsAsHybridJobsComeAndGo) {
     auto probe = MakeDeviceJob(ParseJobSpec("wcc"), *h.source, h.update_dev, h.vertex_dev,
                                cfg, "probe", nullptr);
     fixed = probe->FixedBytes();
+    EXPECT_TRUE(probe->CanPin());
   }
+  // A job whose vertices fit in RAM has no vertex files to pin from.
+  DeviceJobConfig in_ram = cfg;
+  in_ram.allow_vertex_memory_opt = true;
+  EXPECT_FALSE(MakeDeviceJob(ParseJobSpec("wcc"), *h.source, h.update_dev, h.vertex_dev,
+                             in_ram, "in_ram", nullptr)
+                   ->CanPin());
   SchedulerOptions opts;
   opts.memory_budget_bytes = 2 * fixed + (4u << 20);
 

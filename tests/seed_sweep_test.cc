@@ -8,7 +8,7 @@
 #include "algorithms/algorithms.h"
 #include "algorithms/kcores.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -44,11 +44,12 @@ TEST_P(SeedSweep, WccBothEnginesMatchUnionFind) {
 
   SimDevice dev("d", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
-  OutOfCoreConfig oc;
+  HybridConfig oc;
+  oc.allow_vertex_memory_opt = true;
   oc.threads = 2;
-  oc.memory_budget_bytes = 1 << 19;
+  oc.streaming_budget_bytes = 1 << 19;
   oc.io_unit_bytes = 8 << 10;
-  OutOfCoreEngine<WccAlgorithm> b(oc, dev, dev, dev, "input", info);
+  HybridEngine<WccAlgorithm> b(oc, dev, dev, dev, "input", info);
   EXPECT_EQ(RunWcc(b).labels, expected);
 }
 

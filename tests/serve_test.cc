@@ -360,6 +360,33 @@ TEST(ServeTest, MalformedAndUnknownRequestsGetProperStatusCodes) {
   h.WaitState(h.Submit(R"({"graph":"g","algo":"sssp","params":{"src":)" + std::to_string(n - 1) +
                        "}}"),
               "done");
+  // Iteration caps must be integers in [1, 1000000] and seeds integers in
+  // [0, 2^53]: a cast would wrap -1 to 2^64-1 (which the PageRank round
+  // count then overflows to 0), truncate 1.5, and is undefined past 2^63.
+  struct BadParam {
+    const char* algo;
+    const char* key;
+    const char* value;
+  };
+  for (const BadParam& bad : std::vector<BadParam>{
+           {"pagerank", "iterations", "-1"},  {"pagerank", "iters", "-1"},
+           {"pagerank", "iters", "0"},        {"pagerank", "iters", "1.5"},
+           {"pagerank", "iters", "1000001"},  {"pagerank", "iters", "1e19"},
+           {"wcc", "max_iterations", "-3"},   {"wcc", "max_iterations", "0"},
+           {"wcc", "max_iterations", "2.5"},  {"wcc", "max_iterations", "1e300"},
+           {"spmv", "seed", "-1"},            {"spmv", "seed", "0.5"},
+           {"spmv", "seed", "9007199254740994"}, {"spmv", "seed", "1e19"}}) {
+    HttpReply reply =
+        Request(h.port, "POST", "/v1/jobs",
+                std::string(R"({"graph":"g","algo":")") + bad.algo + R"(","params":{")" +
+                    bad.key + "\":" + bad.value + "}}");
+    EXPECT_EQ(reply.status, 400) << bad.key << "=" << bad.value << ": " << reply.body;
+    EXPECT_NE(reply.body.find("must be an integer"), std::string::npos) << reply.body;
+  }
+  h.WaitState(h.Submit(R"({"graph":"g","algo":"spmv","params":{"seed":9007199254740992}})"),
+              "done");
+  h.WaitState(h.Submit(R"({"graph":"g","algo":"wcc","params":{"max_iterations":1000000}})"),
+              "done");
   // Unknown routes and malformed ids → 404; wrong methods → 405.
   EXPECT_EQ(Get(h.port, "/v1/nope").status, 404);
   EXPECT_EQ(Get(h.port, "/v1/jobs/abc").status, 404);
@@ -445,6 +472,8 @@ TEST(ServeTest, TenantQuotaRejectionIs429WithRetryAfter) {
       R"({"graph":"g","algo":"pagerank","params":{"iters":2000},"tenant":"burst"})";
   std::string short_job = R"({"graph":"g","algo":"wcc","tenant":"burst"})";
   uint64_t first = h.Submit(long_job);
+  // The queue check below needs job 1 admitted, not queued in front of job 2.
+  h.WaitState(first, "running");
   uint64_t second = h.Submit(short_job);
   HttpReply rejected = Request(h.port, "POST", "/v1/jobs", short_job);
   EXPECT_EQ(rejected.status, 429) << rejected.body;

@@ -6,7 +6,7 @@
 
 #include "algorithms/kcores.h"
 #include "core/inmem_engine.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -233,10 +233,11 @@ TEST(KCoreTest, OutOfCoreMatchesInMemory) {
 
   SimDevice dev("d", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
-  OutOfCoreConfig oc;
+  HybridConfig oc;
+  oc.allow_vertex_memory_opt = true;
   oc.threads = 2;
   oc.io_unit_bytes = 8 << 10;
-  OutOfCoreEngine<KCoreAlgorithm> b(oc, dev, dev, dev, "input", info);
+  HybridEngine<KCoreAlgorithm> b(oc, dev, dev, dev, "input", info);
   KCoreResult rb = RunKCore(b, 6);
   EXPECT_EQ(ra.in_core, rb.in_core);
 }

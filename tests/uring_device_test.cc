@@ -9,7 +9,7 @@
 
 #include "graph/generators.h"
 #include "graph/edge_io.h"
-#include "core/ooc_engine.h"
+#include "core/hybrid_engine.h"
 #include "algorithms/algorithms.h"
 #include "storage/posix_device.h"
 #include "storage/uring_device.h"
@@ -165,11 +165,12 @@ TEST(UringDeviceTest, EngineSmokeMatchesPosixEngine) {
 
   auto run = [&](PosixDevice& dev) {
     WriteEdgeFile(dev, "in.bin", edges);
-    OutOfCoreConfig config;
+    HybridConfig config;
+    config.allow_vertex_memory_opt = true;
     config.threads = 2;
-    config.memory_budget_bytes = 1 << 20;
+    config.streaming_budget_bytes = 1 << 20;
     config.io_unit_bytes = 32 << 10;
-    OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "in.bin", info);
+    HybridEngine<WccAlgorithm> engine(config, dev, dev, dev, "in.bin", info);
     return RunWcc(engine);
   };
 
