@@ -19,8 +19,9 @@
 // streamed their edges from the edge device every scatter. With --pin-edges
 // a pinned partition captures its edge chunks into a PinnedEdgeCache on the
 // first scan and serves every later scan from RAM — so at a full budget the
-// edge device goes silent after iteration 1 and the hybrid engine's results
-// are bit-identical to the in-memory engine's.
+// edge device reads each partition's edges at most once after setup (BFS
+// scans a partition only once it holds a frontier vertex), and the hybrid
+// engine's results are bit-identical to the in-memory engine's.
 #include "bench_common.h"
 
 #include "algorithms/bfs.h"
@@ -82,8 +83,9 @@ int main(int argc, char** argv) {
   BenchHeader("Figure 31",
               "Incremental residency: delta migrations with hysteresis + pinned edge streams",
               "hysteresis cuts migration bytes vs the full re-plan baseline on a drifting "
-              "frontier; at full budget with --pin-edges the edge device is silent after "
-              "the first iteration and results match the in-memory engine bit for bit");
+              "frontier; at full budget with --pin-edges the edge device reads each "
+              "partition's edges at most once after setup and results match the in-memory "
+              "engine bit for bit");
 
   bool smoke = opts.GetBool("smoke", false);
   int threads = static_cast<int>(opts.GetInt("threads", NumCores()));
@@ -207,19 +209,35 @@ int main(int argc, char** argv) {
   }
   HybridEngine<BfsAlgorithm> engine(bconfig, edge_dev, update_dev, vertex_dev,
                                     "fig31.input", rinfo);
+  const uint64_t setup_reads = edge_dev.stats().bytes_read;
 
+  // Selective scheduling scans only partitions holding a frontier vertex;
+  // record which ones each iteration scans (the choice is fixed before its
+  // scatter starts).
   BfsAlgorithm algo(0);
   engine.InitVertices(algo);
-  uint64_t reads_after_first = 0;
+  const uint32_t k = engine.num_partitions();
+  std::vector<uint8_t> scanned(k, 0);
   uint64_t iterations = 0;
-  while (engine.RunIteration(algo).updates_generated > 0) {
-    if (++iterations == 1) {
-      reads_after_first = edge_dev.stats().bytes_read;
+  for (;;) {
+    for (uint32_t p = 0; p < k; ++p) {
+      scanned[p] |= engine.driver().PartitionNeedsScatter(p) ? 1 : 0;
+    }
+    ++iterations;
+    if (engine.RunIteration(algo).updates_generated == 0) {
+      break;
     }
   }
-  ++iterations;  // the terminal no-update iteration still scanned the edges
   engine.FinalizeStats();
   uint64_t final_reads = edge_dev.stats().bytes_read;
+  uint64_t scanned_edge_bytes = 0;
+  for (uint32_t p = 0; p < k; ++p) {
+    scanned_edge_bytes += scanned[p] ? engine.store().src_edge_counts()[p] * sizeof(Edge) : 0;
+  }
+  // Reads past one capture per scanned partition (0 when every later scan
+  // is served from the pinned cache).
+  const int64_t repeat_reads = static_cast<int64_t>(final_reads - setup_reads) -
+                               static_cast<int64_t>(scanned_edge_bytes);
   const RunStats& stats = engine.stats();
 
   std::vector<uint32_t> hybrid_levels(rinfo.num_vertices);
@@ -234,10 +252,10 @@ int main(int argc, char** argv) {
     mem_levels = RunBfs(mem, 0).levels;
   }
 
-  std::printf("%llu iterations; edge-device reads: %s after iteration 1, %s at the end "
-              "(%s served from the pinned cache, %s cached)\n",
-              static_cast<unsigned long long>(iterations),
-              HumanBytes(reads_after_first).c_str(), HumanBytes(final_reads).c_str(),
+  std::printf("%llu iterations; edge-device reads: %s at setup, %s at the end, %s of edges "
+              "in the partitions scanned (%s served from the pinned cache, %s cached)\n",
+              static_cast<unsigned long long>(iterations), HumanBytes(setup_reads).c_str(),
+              HumanBytes(final_reads).c_str(), HumanBytes(scanned_edge_bytes).c_str(),
               HumanBytes(stats.edge_reads_avoided_bytes).c_str(),
               HumanBytes(stats.pinned_edge_bytes).c_str());
 
@@ -246,10 +264,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(iterations));
     ok = false;
   }
-  if (final_reads != reads_after_first) {
-    std::printf("FAIL: the edge device was read after iteration 1 (%llu -> %llu bytes)\n",
-                static_cast<unsigned long long>(reads_after_first),
-                static_cast<unsigned long long>(final_reads));
+  if (repeat_reads != 0) {
+    std::printf("FAIL: after setup the edge device read %lld bytes beyond one scan of each "
+                "scanned partition\n",
+                static_cast<long long>(repeat_reads));
     ok = false;
   }
   if (stats.update_file_bytes != 0) {
@@ -266,7 +284,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nacceptance: identical results, migration bytes strictly below the full "
-              "re-plan baseline, edge device silent after iteration 1 at full budget: %s\n",
+              "re-plan baseline, each partition's edges read at most once after setup at "
+              "full budget: %s\n",
               ok ? "yes" : "NO");
 
   BenchJson json(opts, "fig31");
@@ -280,7 +299,8 @@ int main(int argc, char** argv) {
     json.Exact(mkey + ".evictions", static_cast<double>(incremental[i].evictions));
   }
   json.Exact("b.iterations", static_cast<double>(iterations));
-  json.Exact("b.final_reads_minus_first", static_cast<double>(final_reads - reads_after_first));
+  json.Exact("b.edge_device_read_bytes", static_cast<double>(final_reads));
+  json.Exact("b.repeat_scan_read_bytes", static_cast<double>(repeat_reads));
   json.Exact("b.update_file_bytes", static_cast<double>(stats.update_file_bytes));
   json.Ratio("b.edge_reads_avoided_bytes",
              static_cast<double>(stats.edge_reads_avoided_bytes));

@@ -12,8 +12,9 @@
 #      must produce solo-identical results while the shared scan keeps the
 #      edge-read volume ~flat in the job count
 #   5. incremental-residency smoke: fig31 at smoke scale — delta migrations
-#      must stay strictly below the full re-plan baseline, and edge pinning
-#      must silence the edge device after iteration 1 at full budget
+#      must stay strictly below the full re-plan baseline, and with edge
+#      pinning at full budget the edge device must read each partition's
+#      edges at most once after setup
 #   6. raw-speed smoke: fig32 at smoke scale — io_uring backend, staged
 #      shuffle and compressed update streams must each be result-invariant,
 #      with >= 2x fewer update-device bytes on compressed BFS

@@ -1,10 +1,12 @@
 // Breadth-first search in the edge-centric model.
 //
 // The frontier is implicit: a vertex whose level was set in iteration i
-// scatters level+1 along its out-edges in iteration i+1. All edges are
-// streamed every iteration — discovering the frontier by streaming is
-// exactly the bandwidth-for-random-access trade the paper evaluates against
-// specialized BFS implementations in Figs 19-21.
+// scatters level+1 along its out-edges in iteration i+1. Every partition
+// that holds a frontier vertex streams all of its edges — discovering the
+// frontier by streaming is exactly the bandwidth-for-random-access trade
+// the paper evaluates against specialized BFS implementations in Figs
+// 19-21. Partitions with no frontier vertex are skipped (the Active hook),
+// so the trade is paid per partition, not per graph.
 #ifndef XSTREAM_ALGORITHMS_BFS_H_
 #define XSTREAM_ALGORITHMS_BFS_H_
 
@@ -61,6 +63,9 @@ struct BfsAlgorithm {
     s.next_active = 0;
   }
 
+  // Scatter emits nothing from an inactive vertex (selective scheduling).
+  bool Active(const VertexState& s) const { return s.active != 0; }
+
  private:
   VertexId root_;
 };
@@ -73,9 +78,10 @@ struct BfsResult {
   RunStats stats;
 };
 
-template <typename Engine>
+// `Algo` may be a type derived from BfsAlgorithm (the engine's algorithm).
+template <typename Algo = BfsAlgorithm, typename Engine>
 BfsResult RunBfs(Engine& engine, VertexId root, uint64_t max_iterations = UINT64_MAX) {
-  BfsAlgorithm algo(root);
+  Algo algo(root);
   BfsResult result;
   result.stats = engine.Run(algo, max_iterations);
   result.levels.resize(engine.num_vertices());

@@ -88,6 +88,9 @@ struct HyperAnfAlgorithm {
     s.next_active = 0;
   }
 
+  // Scatter emits nothing from an inactive vertex (selective scheduling).
+  bool Active(const VertexState& s) const { return s.active != 0; }
+
   // Standard HyperLogLog estimate of the set represented by one counter.
   static double Estimate(const VertexState& s) {
     double sum = 0.0;
@@ -118,11 +121,12 @@ struct HyperAnfResult {
 };
 
 // Runs HyperANF to convergence; the step count approximates the diameter
-// (registers can saturate a hop early, so steps <= true diameter).
-template <typename Engine>
+// (registers can saturate a hop early, so steps <= true diameter). `Algo`
+// may be a type derived from HyperAnfAlgorithm (the engine's algorithm).
+template <typename Algo = HyperAnfAlgorithm, typename Engine>
 HyperAnfResult RunHyperAnf(Engine& engine, uint64_t seed = 29, uint32_t max_steps = 1 << 20) {
   using VS = HyperAnfAlgorithm::VertexState;
-  HyperAnfAlgorithm algo(seed);
+  Algo algo(seed);
   HyperAnfResult result;
 
   engine.VertexMap([&algo](VertexId v, VS& s) { algo.Init(v, s); });

@@ -23,6 +23,7 @@
 
 #include "core/algorithm.h"
 #include "graph/types.h"
+#include "util/logging.h"
 
 namespace xstream {
 
@@ -108,6 +109,9 @@ struct SccAlgorithm {
     s.next_active = 0;
   }
 
+  // Scatter emits nothing from an inactive vertex (selective scheduling).
+  bool Active(const VertexState& s) const { return s.active != 0; }
+
   Phase phase = Phase::kForward;
 };
 
@@ -120,11 +124,12 @@ struct SccResult {
   RunStats stats;
 };
 
-// Runs SCC on an engine built over MakeSccEdgeList(original_edges).
-template <typename Engine>
+// Runs SCC on an engine built over MakeSccEdgeList(original_edges). `Algo`
+// may be a type derived from SccAlgorithm (the engine's algorithm).
+template <typename Algo = SccAlgorithm, typename Engine>
 SccResult RunScc(Engine& engine) {
   using VS = SccAlgorithm::VertexState;
-  SccAlgorithm algo;
+  Algo algo;
   SccResult result;
 
   // Global init: everything unassigned.

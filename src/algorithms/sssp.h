@@ -61,6 +61,9 @@ struct SsspAlgorithm {
     s.next_active = 0;
   }
 
+  // Scatter emits nothing from an inactive vertex (selective scheduling).
+  bool Active(const VertexState& s) const { return s.active != 0; }
+
  private:
   VertexId root_;
 };
@@ -72,9 +75,10 @@ struct SsspResult {
   RunStats stats;
 };
 
-template <typename Engine>
+// `Algo` may be a type derived from SsspAlgorithm (the engine's algorithm).
+template <typename Algo = SsspAlgorithm, typename Engine>
 SsspResult RunSssp(Engine& engine, VertexId root, uint64_t max_iterations = UINT64_MAX) {
-  SsspAlgorithm algo(root);
+  Algo algo(root);
   SsspResult result;
   result.stats = engine.Run(algo, max_iterations);
   result.dist.resize(engine.num_vertices());

@@ -59,6 +59,9 @@ struct WccAlgorithm {
     s.active = s.next_active;
     s.next_active = 0;
   }
+
+  // Scatter emits nothing from an inactive vertex (selective scheduling).
+  bool Active(const VertexState& s) const { return s.active != 0; }
 };
 
 static_assert(EdgeCentricAlgorithm<WccAlgorithm>);
@@ -71,10 +74,11 @@ struct WccResult {
 
 // Runs WCC to convergence on either engine and extracts component labels.
 // `max_iterations` caps pathological high-diameter runs (Fig 12's "did not
-// finish in a reasonable amount of time").
-template <typename Engine>
+// finish in a reasonable amount of time"). `Algo` may be a type derived from
+// WccAlgorithm (the engine's algorithm).
+template <typename Algo = WccAlgorithm, typename Engine>
 WccResult RunWcc(Engine& engine, uint64_t max_iterations = UINT64_MAX) {
-  WccAlgorithm algo;
+  Algo algo;
   WccResult result;
   result.stats = engine.Run(algo, max_iterations);
   result.labels.resize(engine.num_vertices());

@@ -26,6 +26,16 @@
 //     per-partition is equivalent to a global pass after the gather phase.
 //   * Done(iteration_stats) -> bool — extra termination criterion; the
 //     engines always stop when a scatter produces zero updates.
+//   * Active(state) -> bool  — selective scheduling. Contract: Scatter emits
+//     nothing from a source vertex whose state is not Active, so a partition
+//     with no Active vertex need not stream its edges. The driver evaluates
+//     it where it already visits every vertex (after Init, and after each
+//     partition's EndVertex pass) and skips partitions without an Active
+//     vertex in the next scatter; anything that rewrites states behind the
+//     algorithm's back (VertexMap, checkpoint loads) makes every partition
+//     eligible again until the next gather. Frontier algorithms opt in with
+//     `return s.active;`; algorithms whose every vertex scatters (PageRank)
+//     leave it out and pay nothing.
 #ifndef XSTREAM_CORE_ALGORITHM_H_
 #define XSTREAM_CORE_ALGORITHM_H_
 
@@ -58,6 +68,11 @@ concept HasBeforeIteration = requires(A a, uint64_t iter) {
 template <typename A>
 concept HasEndVertex = requires(A a, VertexId v, typename A::VertexState& s) {
   { a.EndVertex(v, s) } -> std::same_as<void>;
+};
+
+template <typename A>
+concept HasActive = requires(const A a, const typename A::VertexState& s) {
+  { a.Active(s) } -> std::convertible_to<bool>;
 };
 
 template <typename A>

@@ -117,7 +117,6 @@ class InMemoryEngine {
   const VertexState& State(VertexId v) const {
     return store_->states()[store_->layout().DenseId(v)];
   }
-  VertexState& MutableState(VertexId v) { return store_->states()[store_->layout().DenseId(v)]; }
   const std::vector<VertexState>& states() const { return store_->states(); }  // dense order
 
   RunStats& stats() { return driver_->stats(); }

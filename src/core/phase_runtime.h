@@ -26,6 +26,13 @@
 //    path, and gather sub-partitions each chunk by destination so threads
 //    touch disjoint vertex ranges.
 //
+// Both shapes schedule selectively when the algorithm has an Active hook
+// (core/algorithm.h): the driver keeps one "holds an Active vertex" flag per
+// partition, refreshed where it already visits every vertex (after Init and
+// in each partition's EndVertex pass), and a partition without one streams
+// no edges in the next scatter — a scan that could only have been wasted
+// (Fig 12b). Gather still visits every partition.
+//
 // Engines (core/inmem_engine.h, core/hybrid_engine.h) are thin facades: they
 // pick the store, size the layout/buffers, and forward their public API
 // here.
@@ -109,7 +116,8 @@ class StreamingPhaseDriver {
       : store_(store),
         opts_(opts),
         queues_(store.pool().num_threads()),
-        accountant_(opts.progress_prefix, store.layout().num_partitions()) {
+        accountant_(opts.progress_prefix, store.layout().num_partitions()),
+        active_(store.layout().num_partitions(), 1) {
     store_.BindStats(&stats_);
     if constexpr (Store::kPartitionParallel) {
       // Scatter buckets by the top fanout bits of the partition id: the
@@ -148,8 +156,11 @@ class StreamingPhaseDriver {
   // Applies f(original_id, state) to every vertex: in parallel over
   // partition-aligned dense ranges when the states are resident, otherwise
   // one loaded partition at a time.
+  // f may rewrite any state, so every partition is eligible for the next
+  // scatter until a gather refreshes the activity flags.
   template <typename F>
   void VertexMap(F&& f) {
+    std::fill(active_.begin(), active_.end(), 1);
     const PartitionLayout& layout = store_.layout();
     if (store_.all_resident()) {
       VertexState* states = store_.resident_states();
@@ -218,13 +229,16 @@ class StreamingPhaseDriver {
   }
 
   void InitVertices(Algo& algo) {
+    const PartitionLayout& layout = store_.layout();
     if (store_.all_resident()) {
       VertexMap([&algo](VertexId v, VertexState& s) { algo.Init(v, s); });
+      for (uint32_t p = 0; p < layout.num_partitions(); ++p) {
+        NoteActivity(algo, p, store_.resident_states() + layout.Begin(p));
+      }
       return;
     }
     // Vertex files hold zeroes, not algorithm state, until the first store;
     // write initial states partition-wise without the wasted load.
-    const PartitionLayout& layout = store_.layout();
     for (uint32_t p = 0; p < layout.num_partitions(); ++p) {
       if (layout.Size(p) == 0) {
         continue;
@@ -234,6 +248,7 @@ class StreamingPhaseDriver {
       for (uint64_t i = 0; i < layout.Size(p); ++i) {
         algo.Init(layout.OriginalId(base + i), states[i]);
       }
+      NoteActivity(algo, p, states);
       store_.StorePartition(p);
     }
   }
@@ -269,20 +284,23 @@ class StreamingPhaseDriver {
   // driver, so N concurrent jobs pay for one sequential pass instead of N.
   // Protocol per iteration:
   //
-  //   BeginIterationScatter(algo)
-  //   for each partition s with PartitionNeedsScatter(s):
-  //     BeginScatterPartition(s)
-  //     ScatterChunk(algo, es, n)*     // chunks come from the scan owner
-  //     EndScatterPartition(algo)
+  //   BeginIterationScatter(algo, first)
+  //   for each partition s, in cyclic order from `first`:
+  //     if PartitionNeedsScatter(s):
+  //       BeginScatterPartition(s)
+  //       ScatterChunk(algo, es, n)*   // chunks come from the scan owner
+  //       EndScatterPartition(algo)
   //   FinishIterationScatter(algo)     // spill tail + gather + stats fold
   //
-  // Every partition must be visited exactly once per iteration, but any
-  // rotation works — updates are unordered within an iteration (§2.3), so a
-  // job admitted mid-round simply starts its cycle at the next partition
-  // boundary. CancelIterationScatter() abandons a half-done iteration (job
-  // cancellation), draining any in-flight spill writes.
+  // Every partition that PartitionNeedsScatter accepts must be visited
+  // exactly once per iteration; a rejected one is simply not visited — it
+  // holds no vertex that could emit. Any rotation works — updates are
+  // unordered within an iteration (§2.3), so a job admitted mid-round simply
+  // starts its cycle at the next partition boundary. CancelIterationScatter()
+  // abandons a half-done iteration (job cancellation), draining any in-flight
+  // spill writes.
 
-  void BeginIterationScatter(Algo& algo) {
+  void BeginIterationScatter(Algo& algo, uint32_t first_partition = 0) {
     XS_CHECK(!in_iteration_scatter_) << "iteration scatter already in progress";
     in_iteration_scatter_ = true;
     progress_iteration_->Set(static_cast<double>(stats_.iterations));
@@ -296,6 +314,8 @@ class StreamingPhaseDriver {
       algo.BeforeIteration(stats_.iterations);
     }
     store_.BeginIteration();
+    next_boundary_ = first_partition;
+    boundaries_left_ = store_.layout().num_partitions();
     if constexpr (Store::kPartitionParallel) {
       scatter_appender_ = std::make_unique<ScatterAppender>(
           store_.update_records(), store_.pool().num_threads(),
@@ -306,16 +326,16 @@ class StreamingPhaseDriver {
     }
   }
 
-  // Whether partition s takes part in this iteration's scatter (empty
-  // partitions with file-resident vertices are skipped, like the single-job
-  // loop always has).
+  // Whether partition s takes part in this iteration's scatter: not when
+  // the last gather left it without an Active vertex (selective scheduling),
+  // nor when it is empty and its vertices are file-resident.
   bool PartitionNeedsScatter(uint32_t s) const {
-    if constexpr (Store::kPartitionParallel) {
-      (void)s;
-      return true;
-    } else {
-      return store_.all_resident() || store_.layout().Size(s) > 0;
+    if constexpr (HasActive<Algo>) {
+      if (!active_[s]) {
+        return false;
+      }
     }
+    return Store::kPartitionParallel || store_.all_resident() || store_.layout().Size(s) > 0;
   }
 
   void BeginScatterPartition(uint32_t s) {
@@ -325,15 +345,7 @@ class StreamingPhaseDriver {
       scatter_state_base_ = store_.resident_states();
       scatter_part_base_ = 0;
     } else {
-      // Partition-boundary migration hook: partially resident stores apply
-      // staged residency changes (evictions/promotions) here, one partition
-      // at a time, instead of in a stop-the-world phase between iterations.
-      // Runs in solo loops and the scheduler's shared-scan mode alike —
-      // both reach every partition's scatter through this method.
-      if constexpr (requires(Store& st, uint32_t q) { st.AtPartitionBoundary(q); }) {
-        obs::PhaseTimer pt(&accountant_, obs::Phase::kMigration, s);
-        store_.AtPartitionBoundary(s);
-      }
+      PassBoundariesThrough(s);
       PublishPartitionProgress(s);
       scatter_span_.Start(s);
       store_.BeginPartitionScatter(s);
@@ -423,6 +435,7 @@ class StreamingPhaseDriver {
       }
       stats_.streaming_seconds += streaming_.TotalSeconds();
     } else {
+      PassBoundariesThrough(kAllBoundaries);
       auto plan = store_.FinishScatter(algo, appender);
       // Drained updates were removed from the buffer before the tail count,
       // but they were generated (and gathered) all the same. A spilled tail
@@ -560,9 +573,11 @@ class StreamingPhaseDriver {
   // Restores states saved by SaveVertexStates. The graph (vertex count,
   // state type) and the vertex mapping must match the checkpoint; aborts
   // with a clear message otherwise — a mapping mismatch would otherwise
-  // restore every state into the wrong vertex silently.
+  // restore every state into the wrong vertex silently. The restored states
+  // are not inspected, so every partition scatters in the next iteration.
   void LoadVertexStates(StorageDevice& dev, const std::string& file) {
     const PartitionLayout& layout = store_.layout();
+    std::fill(active_.begin(), active_.end(), 1);
     FileId f = dev.Open(file);
     XS_CHECK_GE(dev.FileSize(f), sizeof(CheckpointHeader))
         << "checkpoint does not match: file smaller than a checkpoint header";
@@ -644,6 +659,47 @@ class StreamingPhaseDriver {
     return wasted;
   }
 
+  // Partition-boundary migration hook: partially resident stores apply
+  // staged residency changes (evictions/promotions) one partition at a time
+  // as the scatter passes each boundary, instead of in a stop-the-world
+  // phase between iterations. Boundaries pass in the iteration's visit order
+  // (cyclic from BeginIterationScatter's first partition) up to and
+  // including `last`: a partition skipped for want of an Active vertex
+  // passes its boundary when the next visited partition does, or at the end
+  // of scatter, so a skip moves no migration relative to any streamed
+  // update. Reached only through the drivable pieces, so solo loops, the
+  // scheduler's shared scans and hand-built loops that `continue` past a
+  // rejected partition all migrate alike.
+  static constexpr uint32_t kAllBoundaries = UINT32_MAX;
+
+  void PassBoundariesThrough(uint32_t last)
+    requires(!Store::kPartitionParallel)
+  {
+    const uint32_t k = store_.layout().num_partitions();
+    while (boundaries_left_ > 0) {
+      const uint32_t p = next_boundary_;
+      next_boundary_ = (p + 1) % k;
+      --boundaries_left_;
+      if constexpr (requires(Store& st, uint32_t q) { st.AtPartitionBoundary(q); }) {
+        obs::PhaseTimer pt(&accountant_, obs::Phase::kMigration, p);
+        store_.AtPartitionBoundary(p);
+      }
+      if (p == last) {
+        return;
+      }
+    }
+  }
+
+  // Records whether partition p's states (at `states`) hold an Active
+  // vertex, for the next scatter's PartitionNeedsScatter.
+  void NoteActivity(const Algo& algo, uint32_t p, const VertexState* states) {
+    if constexpr (HasActive<Algo>) {
+      const uint64_t n = store_.layout().Size(p);
+      active_[p] = std::any_of(states, states + n,
+                               [&algo](const VertexState& s) { return algo.Active(s); });
+    }
+  }
+
   // ---- Partition-parallel shape (memory store, §4) ------------------------
 
   // Scatter phase: stream every partition's edge chunks concurrently under
@@ -673,6 +729,9 @@ class StreamingPhaseDriver {
         uint64_t local_wasted = 0;
         uint32_t p = 0;
         while (queues_.Pop(tid, p, opts_.enable_work_stealing)) {
+          if (!PartitionNeedsScatter(p)) {
+            continue;
+          }
           obs::PhaseTimer cell(&accountant_, obs::Phase::kScatter, p,
                                obs::PhaseTimerMode::kCellOnly);
           for (const auto& slice : edge_chunks.slices) {
@@ -692,8 +751,9 @@ class StreamingPhaseDriver {
   }
 
   // Gather phase: stream each partition's update chunks into its vertex
-  // states; EndVertex runs per partition right after its gather (legal
-  // because gather only touches the partition's own vertices).
+  // states; EndVertex and the activity flag run per partition right after
+  // its gather (legal because gather only touches the partition's own
+  // vertices).
   // for_each_chunk(p, gather) calls gather(updates, count) once per chunk of
   // partition p.
   template <typename ForEachChunk>
@@ -730,6 +790,7 @@ class StreamingPhaseDriver {
               algo.EndVertex(layout.OriginalId(i), states[i]);
             }
           }
+          NoteActivity(algo, p, states + layout.Begin(p));
         }
         changed.fetch_add(local_changed, std::memory_order_relaxed);
       });
@@ -776,14 +837,15 @@ class StreamingPhaseDriver {
         });
       }
 
+      VertexId base = layout.Begin(p);
       if constexpr (HasEndVertex<Algo>) {
-        VertexId base = layout.Begin(p);
         pool.ParallelFor(0, layout.Size(p), 4096, [&](uint64_t lo, uint64_t hi) {
           for (uint64_t i = lo; i < hi; ++i) {
             algo.EndVertex(layout.OriginalId(base + i), state_base[base + i - part_base]);
           }
         });
       }
+      NoteActivity(algo, p, state_base + (base - part_base));
       store_.EndPartitionGather(p, plan.memory_gather);
     }
     store_.FinishGather(plan.memory_gather);
@@ -889,6 +951,15 @@ class StreamingPhaseDriver {
   // BeginScatterPartition), for cell attribution.
   uint32_t attr_partition_ = 0;
   bool in_iteration_scatter_ = false;
+  // Selective scheduling (HasActive algorithms): per partition, whether it
+  // held an Active vertex after the last Init or gather. All set — "unknown,
+  // scan everything" — at construction and whenever states change outside
+  // the driver's sight (VertexMap, LoadVertexStates).
+  std::vector<uint8_t> active_;
+  // Device shape: the next partition boundary to pass this iteration and
+  // how many are left (PassBoundariesThrough).
+  uint32_t next_boundary_ = 0;
+  uint32_t boundaries_left_ = 0;
 };
 
 }  // namespace xstream

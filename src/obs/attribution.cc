@@ -26,27 +26,27 @@ std::string Pct(double x) {
   return buf;
 }
 
-// The flag-level advice table (mirrored in docs/observability.md). `share`
-// is the phase's fraction of accounted time.
+// The flag-level advice table (mirrored in docs/observability.md). It names
+// only flags a measurement backs; `share` is the phase's fraction of
+// accounted time.
 std::string PhaseHint(Phase ph, double share) {
   const std::string pct = Pct(share);
   switch (ph) {
     case Phase::kSpillWait:
       return "spill waits take " + pct +
-             " of accounted time: raise --spill-depth, enable "
-             "--compress-updates, or move update files to a faster device "
-             "(--io-backend=uring)";
+             " of accounted time: raise --spill-depth, or move update files to "
+             "a faster device";
     case Phase::kScanIo:
       return "edge-scan I/O takes " + pct +
-             " of accounted time: enable --pin-edges, raise --memory-budget, "
-             "or try --io-backend=uring";
+             " of accounted time: enable --pin-edges or raise --memory-budget";
     case Phase::kShuffle:
-      return "shuffle/staging takes " + pct +
-             " of accounted time: tune --stage-bytes toward the L2/LLC size";
+      return "shuffle takes " + pct +
+             " of accounted time: it runs on the compute threads, so add "
+             "--threads";
     case Phase::kGather:
       return "gather takes " + pct +
              " of accounted time: raise --memory-budget so updates stay "
-             "resident, or enable --compress-updates to shrink gather reads";
+             "resident";
     case Phase::kMigration:
       return "residency migration takes " + pct +
              " of accounted time: raise --residency-hysteresis or keep "

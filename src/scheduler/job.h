@@ -68,8 +68,10 @@ class ScheduledJob {
   // Admission: initialize vertex state. Runs once, before the first round.
   virtual void Activate() = 0;
 
-  // One round = one full cycle over the partitions (any rotation).
-  virtual void BeginRound() = 0;
+  // One round = one full cycle over the partitions, in cyclic order from
+  // `first_partition`. WantsPartition stays fixed through a round; a
+  // partition it rejects is not visited.
+  virtual void BeginRound(uint32_t first_partition) = 0;
   virtual bool WantsPartition(uint32_t s) const = 0;
   virtual void BeginScatterPartition(uint32_t s) = 0;
   virtual void ScatterChunk(const Edge* es, uint64_t n) = 0;
@@ -135,8 +137,8 @@ class TypedJob final : public ScheduledJob {
 
   void Activate() override { driver_->InitVertices(algo_); }
 
-  void BeginRound() override {
-    driver_->BeginIterationScatter(algo_);
+  void BeginRound(uint32_t first_partition) override {
+    driver_->BeginIterationScatter(algo_, first_partition);
     in_round_ = true;
   }
 

@@ -399,9 +399,49 @@ void JobScheduler::AdmitPending() {
   // lands on iteration 1 (already running jobs pick theirs up at their next
   // boundary).
   ResplitBudget();
-  for (size_t i = first_new; i < active_.size(); ++i) {
-    active_[i].job->BeginRound();
+  for (size_t i = first_new; i < active_.size();) {
+    if (StartRound(i) || !EndRound(i)) {
+      ++i;
+    }
   }
+}
+
+// Begins job `index`'s next round at its start partition (the cursor: a
+// round always begins at the job's own boundary). Returns whether the round
+// wants any partition.
+bool JobScheduler::StartRound(size_t index) {
+  ActiveJob& aj = active_[index];
+  aj.job->BeginRound(aj.start_partition);
+  for (uint32_t s = 0; s < source_.layout().num_partitions(); ++s) {
+    if (aj.job->WantsPartition(s)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Ends job `index`'s round (tail spill + gather), then retires the job or
+// begins its next round. A round that wants no partition would scan nothing
+// and leave the vertex states as they are, so it ends here at once instead
+// of waiting out a cycle of scans run for other jobs — and, generating no
+// update, retires the job. Returns true when the job retired (`index` then
+// names the next active job).
+bool JobScheduler::EndRound(size_t index) {
+  do {
+    ActiveJob& aj = active_[index];
+    bool done = aj.job->FinishRound();
+    ++aj.rounds;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ++stats_.rounds_completed;
+      records_[aj.id].rounds = aj.rounds;
+    }
+    if (done) {
+      RetireActive(index, JobState::kDone);
+      return true;
+    }
+  } while (!StartRound(index));
+  return false;
 }
 
 void JobScheduler::RetireActive(size_t index, JobState final_state) {
@@ -534,21 +574,7 @@ bool JobScheduler::Step() {
   // --- Round boundaries: jobs whose cycle wrapped finish their iteration
   // (tail spill + gather) and either retire or begin the next round.
   for (size_t i = 0; i < active_.size();) {
-    if (active_[i].start_partition != cursor_) {
-      ++i;
-      continue;
-    }
-    bool done = active_[i].job->FinishRound();
-    ++active_[i].rounds;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.rounds_completed;
-      records_[active_[i].id].rounds = active_[i].rounds;
-    }
-    if (done) {
-      RetireActive(i, JobState::kDone);
-    } else {
-      active_[i].job->BeginRound();
+    if (active_[i].start_partition != cursor_ || !EndRound(i)) {
       ++i;
     }
   }

@@ -262,6 +262,8 @@ class JobScheduler {
   bool HasWorkLocked() const;
   void ApplyCancellations();
   void AdmitPending();
+  bool StartRound(size_t index);
+  bool EndRound(size_t index);
   void RetireActive(size_t index, JobState final_state);
   void ResplitBudget();
   JobReport ReportLocked(JobId id, const Record& rec) const;

@@ -429,8 +429,9 @@ obs::HttpResponse GraphService::JobResult(const JobEntry& entry) const {
     return resp;
   }
   // The scheduler finalized the job before reporting kDone, so output is
-  // complete and immutable here. Doubles go out via the writer's %.17g,
-  // which round-trips bit-exactly — the e2e tests compare against solo runs.
+  // complete and immutable here. Doubles go out in the writer's shortest
+  // round-trip form (std::to_chars), which reads back bit-exactly — the e2e
+  // tests compare against solo runs.
   // JSON numbers cannot carry non-finite values (SSSP marks unreached
   // vertices with +inf), so those become the string forms "Infinity",
   // "-Infinity" and "NaN" to keep the round trip lossless.

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -81,9 +82,11 @@ JsonWriter& JsonWriter::Value(double v) {
     out_.append("null");
     return *this;
   }
+  // Shortest form that parses back (strtod) to the same bits.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out_.append(buf);
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  XS_CHECK(ec == std::errc());
+  out_.append(buf, end);
   return *this;
 }
 

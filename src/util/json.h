@@ -68,8 +68,9 @@ bool WriteJsonFile(const std::string& path, const std::string& json);
 
 // One parsed JSON value. Objects keep their members in a sorted map (the
 // consumers look fields up by name; source order never matters here).
-// Numbers are stored as double — the writer emits doubles with %.17g, so a
-// write → parse round trip is bit-exact, which the serve tests rely on.
+// Numbers are stored as double — the writer emits each double in the
+// shortest form that reads back to it (std::to_chars), so a write → parse
+// round trip is bit-exact, which the serve tests rely on.
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

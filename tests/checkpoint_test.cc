@@ -1,6 +1,11 @@
 // Checkpoint/restore of vertex state on both engines.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/wcc.h"
 #include "core/inmem_engine.h"
@@ -20,6 +25,69 @@ EdgeList TestGraph(uint64_t seed) {
   params.undirected = true;
   params.seed = seed;
   return GenerateRmat(params);
+}
+
+// A checkpoint load rewrites every vertex state behind the driver's back, so
+// it must make every partition eligible for the next scatter again. Here
+// the engine first runs BFS from root A to convergence, which leaves no
+// partition holding an active vertex; it then loads BFS from root B after
+// two iterations and resumes. Were the activity flags kept, the resumed
+// scatter would skip every partition and stop at once on the checkpoint.
+template <typename MakeEngine>
+void ExpectResumeAfterConvergedRunMatchesStraightRun(MakeEngine&& make) {
+  constexpr VertexId kRootA = 0;
+  constexpr VertexId kRootB = 3;
+  SimDevice ckpt("ckpt", DeviceProfile::Instant());
+  {
+    auto engine = make();
+    BfsAlgorithm algo(kRootB);
+    engine->InitVertices(algo);
+    engine->RunIteration(algo);
+    engine->RunIteration(algo);
+    engine->SaveVertexStates(ckpt, "bfs_b.ckpt");
+  }
+  auto straight = make();
+  BfsResult expected = RunBfs(*straight, kRootB);
+  ASSERT_GT(expected.stats.iterations, 3u) << "root B's search must outlast the checkpoint";
+
+  auto engine = make();
+  BfsAlgorithm from_a(kRootA);
+  engine->Run(from_a);
+  engine->LoadVertexStates(ckpt, "bfs_b.ckpt");
+  BfsAlgorithm from_b(kRootB);
+  while (engine->RunIteration(from_b).updates_generated > 0) {
+  }
+  std::vector<uint32_t> levels(engine->num_vertices());
+  engine->VertexMap([&levels](VertexId v, BfsAlgorithm::VertexState& s) { levels[v] = s.level; });
+  EXPECT_EQ(levels, expected.levels);
+}
+
+TEST(CheckpointTest, ResumeAfterConvergedRunRescansRestoredFrontierInMemory) {
+  EdgeList edges = TestGraph(13);
+  GraphInfo info = ScanEdges(edges);
+  InMemoryConfig config;
+  config.threads = 2;
+  config.num_partitions = 8;
+  ExpectResumeAfterConvergedRunMatchesStraightRun([&] {
+    return std::make_unique<InMemoryEngine<BfsAlgorithm>>(config, edges, info.num_vertices);
+  });
+}
+
+TEST(CheckpointTest, ResumeAfterConvergedRunRescansRestoredFrontierOnDevice) {
+  EdgeList edges = TestGraph(13);
+  GraphInfo info = ScanEdges(edges);
+  SimDevice dev("d", DeviceProfile::Instant());
+  WriteEdgeFile(dev, "input", edges);
+  HybridConfig config;
+  config.threads = 2;
+  config.io_unit_bytes = 8 << 10;
+  config.num_partitions = 8;
+  config.allow_vertex_memory_opt = false;
+  int engines = 0;
+  ExpectResumeAfterConvergedRunMatchesStraightRun([&] {
+    config.file_prefix = "xs" + std::to_string(engines++);
+    return std::make_unique<HybridEngine<BfsAlgorithm>>(config, dev, dev, dev, "input", info);
+  });
 }
 
 TEST(CheckpointTest, InMemorySaveRestoreRoundtrip) {

@@ -507,8 +507,10 @@ TEST(InMemEngineTest, StatsTrackWastedEdges) {
   GraphInfo info = ScanEdges(edges);
   InMemoryEngine<WccAlgorithm> engine(SmallInMemConfig(), edges, info.num_vertices);
   WccResult result = RunWcc(engine);
-  EXPECT_EQ(result.stats.edges_streamed,
-            edges.size() * result.stats.iterations);
+  // Partitions left without an active vertex stream nothing (WCC's Active
+  // hook), so fewer than |E| x iterations edges stream; every streamed edge
+  // still either emits or is wasted.
+  EXPECT_LT(result.stats.edges_streamed, edges.size() * result.stats.iterations);
   EXPECT_EQ(result.stats.wasted_edges + result.stats.updates_generated,
             result.stats.edges_streamed);
   EXPECT_GT(result.stats.WastedEdgePercent(), 0.0);

@@ -12,6 +12,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "algorithms/algorithms.h"
@@ -702,6 +704,221 @@ TEST(StreamWriterCloseTest, CloseSucceedsQuietlyOnHealthyDevice) {
   writer.Append(payload);
   EXPECT_NO_THROW(writer.Close());
   EXPECT_EQ(dev.FileSize(f), 1000u);
+}
+
+// ---- Selective scheduling ---------------------------------------------------
+
+// The same algorithm with its Active hook hidden, so the driver streams every
+// partition every iteration, as it did before selective scheduling.
+template <typename Algo>
+struct HideActive : Algo {
+  using Algo::Algo;
+  void Active() const = delete;
+};
+static_assert(HasActive<WccAlgorithm> && !HasActive<HideActive<WccAlgorithm>>);
+static_assert(HasActive<SccAlgorithm> && HasActive<HyperAnfAlgorithm>);
+static_assert(!HasActive<PageRankAlgorithm>);
+
+// The three shapes the skip runs in: the in-memory engine, the device engine
+// at pin budget 0 with file-resident vertices (the paper's §3 engine), and
+// the hybrid engine at half the full pin budget with re-planning on.
+enum class Shape { kMemory, kDevice, kHybrid };
+
+const char* ShapeName(Shape shape) {
+  switch (shape) {
+    case Shape::kMemory:
+      return "in-memory";
+    case Shape::kDevice:
+      return "device, pin budget 0";
+    case Shape::kHybrid:
+      return "hybrid, half pin budget";
+  }
+  return "?";
+}
+
+// Builds an engine of `shape` for Algo over `edges` (8 partitions) and
+// returns body(engine).
+template <typename Algo, typename Body>
+auto WithEngine(Shape shape, const EdgeList& edges, Body&& body) {
+  GraphInfo info = ScanEdges(edges);
+  if (shape == Shape::kMemory) {
+    InMemoryConfig cfg;
+    cfg.threads = 2;
+    cfg.num_partitions = 8;
+    InMemoryEngine<Algo> engine(cfg, edges, info.num_vertices);
+    return body(engine);
+  }
+  HybridConfig cfg;
+  cfg.threads = 2;
+  cfg.io_unit_bytes = 16 * 1024;
+  cfg.num_partitions = 8;
+  cfg.allow_update_memory_opt = false;
+  if (shape == Shape::kHybrid) {
+    ThreadPool pool(1);
+    cfg.memory_budget_bytes =
+        FullPinBytes<Algo>(pool, edges, PartitionLayout(info.num_vertices, 8)) / 2;
+  }
+  SimDevice dev("d", DeviceProfile::Instant());
+  WriteEdgeFile(dev, "input", edges);
+  HybridEngine<Algo> engine(cfg, dev, dev, dev, "input", info);
+  return body(engine);
+}
+
+// Runs `run` (a runner taking the engine's algorithm type) on every shape,
+// with and without Algo's Active hook, and expects identical results and
+// iteration counts. Returns {edges streamed with, without} summed over the
+// shapes.
+template <typename Algo, typename Run>
+std::pair<uint64_t, uint64_t> ExpectSkipKeepsResults(const EdgeList& edges, Run&& run) {
+  uint64_t with_streamed = 0;
+  uint64_t without_streamed = 0;
+  for (Shape shape : {Shape::kMemory, Shape::kDevice, Shape::kHybrid}) {
+    SCOPED_TRACE(ShapeName(shape));
+    auto with = WithEngine<Algo>(shape, edges, [&](auto& engine) {
+      return run(engine, std::type_identity<Algo>{});
+    });
+    auto without = WithEngine<HideActive<Algo>>(shape, edges, [&](auto& engine) {
+      return run(engine, std::type_identity<HideActive<Algo>>{});
+    });
+    EXPECT_TRUE(with.first == without.first);
+    EXPECT_EQ(with.second.iterations, without.second.iterations);
+    EXPECT_EQ(without.second.edges_streamed, edges.size() * without.second.iterations);
+    EXPECT_LE(with.second.edges_streamed, without.second.edges_streamed);
+    with_streamed += with.second.edges_streamed;
+    without_streamed += without.second.edges_streamed;
+  }
+  return {with_streamed, without_streamed};
+}
+
+TEST(SelectiveSchedulingTest, SkippedPartitionsLeaveResultsBitIdentical) {
+  EdgeList edges = TestGraph(61, 10);
+  auto [wcc_with, wcc_without] =
+      ExpectSkipKeepsResults<WccAlgorithm>(edges, [](auto& engine, auto algo) {
+        WccResult r = RunWcc<typename decltype(algo)::type>(engine);
+        return std::make_pair(r.labels, r.stats);
+      });
+  EXPECT_LT(wcc_with, wcc_without) << "WCC's converged partitions must stop streaming";
+  ExpectSkipKeepsResults<BfsAlgorithm>(edges, [](auto& engine, auto algo) {
+    BfsResult r = RunBfs<typename decltype(algo)::type>(engine, 0);
+    return std::make_pair(r.levels, r.stats);
+  });
+  ExpectSkipKeepsResults<SsspAlgorithm>(edges, [](auto& engine, auto algo) {
+    SsspResult r = RunSssp<typename decltype(algo)::type>(engine, 0);
+    return std::make_pair(r.dist, r.stats);
+  });
+  ExpectSkipKeepsResults<HyperAnfAlgorithm>(edges, [](auto& engine, auto algo) {
+    HyperAnfResult r = RunHyperAnf<typename decltype(algo)::type>(engine);
+    return std::make_pair(r.neighborhood_function, r.stats);
+  });
+
+  RmatParams directed;
+  directed.scale = 10;
+  directed.edge_factor = 4;
+  directed.undirected = false;
+  directed.seed = 67;
+  ExpectSkipKeepsResults<SccAlgorithm>(
+      MakeSccEdgeList(GenerateRmat(directed)), [](auto& engine, auto algo) {
+        SccResult r = RunScc<typename decltype(algo)::type>(engine);
+        return std::make_pair(r.scc, r.stats);
+      });
+}
+
+TEST(SelectiveSchedulingTest, PageRankStillStreamsEveryEdgeEveryIteration) {
+  EdgeList edges = TestGraph(71);
+  for (Shape shape : {Shape::kMemory, Shape::kDevice, Shape::kHybrid}) {
+    SCOPED_TRACE(ShapeName(shape));
+    RunStats stats = WithEngine<PageRankAlgorithm>(shape, edges, [&](auto& engine) {
+      return RunPageRank(engine, 4).stats;
+    });
+    EXPECT_GT(stats.iterations, 1u);
+    EXPECT_EQ(stats.edges_streamed, edges.size() * stats.iterations);
+  }
+}
+
+// Run()'s loop rebuilt from the driver's public pieces, the way an external
+// tracer does it: a partition PartitionNeedsScatter rejects is a plain
+// `continue`. Counts the partitions promoted during an iteration that
+// skipped them.
+template <typename Algo>
+RunStats RunByPieces(HybridEngine<Algo>& engine, Algo& algo, uint64_t* skipped_promotions) {
+  auto& driver = engine.driver();
+  auto& store = engine.store();
+  const uint32_t k = driver.layout().num_partitions();
+  driver.InitVertices(algo);
+  for (;;) {
+    driver.BeginIterationScatter(algo);
+    std::vector<bool> pinned_before = store.residency_plan().resident;
+    std::vector<uint32_t> skipped;
+    for (uint32_t p = 0; p < k; ++p) {
+      if (!driver.PartitionNeedsScatter(p)) {
+        skipped.push_back(p);
+        continue;
+      }
+      driver.BeginScatterPartition(p);
+      store.ForEachEdgeChunk(p, [&](const Edge* es, uint64_t n) { driver.ScatterChunk(algo, es, n); });
+      driver.EndScatterPartition(algo);
+    }
+    IterationStats st = driver.FinishIterationScatter(algo);
+    for (uint32_t p : skipped) {
+      *skipped_promotions += !pinned_before[p] && store.residency_plan().resident[p] ? 1 : 0;
+    }
+    if (st.updates_generated == 0) {
+      break;
+    }
+  }
+  driver.FinalizeStats();
+  return driver.stats();
+}
+
+TEST(SelectiveSchedulingTest, SkippedPartitionsMigrateInsideTheDriverPieces) {
+  // A skipped partition's staged promotion must land inside the pieces
+  // (the next BeginScatterPartition or FinishIterationScatter), or a loop
+  // that `continue`s past it would migrate differently from Run().
+  EdgeList edges = TestGraph(73, 11);
+  GraphInfo info = ScanEdges(edges);
+  HybridConfig cfg;
+  cfg.threads = 2;
+  cfg.io_unit_bytes = 16 * 1024;
+  cfg.num_partitions = 16;
+  cfg.allow_update_memory_opt = false;
+  cfg.residency_hysteresis = 1;
+  ASSERT_TRUE(cfg.replan_between_iterations);
+  {
+    ThreadPool pool(1);
+    cfg.memory_budget_bytes =
+        FullPinBytes<BfsAlgorithm>(pool, edges, PartitionLayout(info.num_vertices, 16)) / 4;
+  }
+  auto levels = [](auto& engine) {
+    std::vector<uint32_t> out(engine.num_vertices());
+    engine.VertexMap([&out](VertexId v, BfsAlgorithm::VertexState& s) { out[v] = s.level; });
+    return out;
+  };
+
+  SimDevice run_dev("run", DeviceProfile::Instant());
+  WriteEdgeFile(run_dev, "input", edges);
+  HybridEngine<BfsAlgorithm> run_engine(cfg, run_dev, run_dev, run_dev, "input", info);
+  BfsAlgorithm run_algo(0);
+  RunStats by_run = run_engine.Run(run_algo);
+
+  SimDevice pieces_dev("pieces", DeviceProfile::Instant());
+  WriteEdgeFile(pieces_dev, "input", edges);
+  HybridEngine<BfsAlgorithm> pieces_engine(cfg, pieces_dev, pieces_dev, pieces_dev, "input",
+                                           info);
+  BfsAlgorithm pieces_algo(0);
+  uint64_t skipped_promotions = 0;
+  RunStats by_pieces = RunByPieces(pieces_engine, pieces_algo, &skipped_promotions);
+
+  EXPECT_EQ(levels(run_engine), levels(pieces_engine));
+  EXPECT_EQ(by_run.iterations, by_pieces.iterations);
+  EXPECT_EQ(by_run.bytes_read, by_pieces.bytes_read);
+  EXPECT_EQ(by_run.bytes_written, by_pieces.bytes_written);
+  EXPECT_EQ(by_run.update_file_bytes, by_pieces.update_file_bytes);
+  EXPECT_EQ(by_run.promotions, by_pieces.promotions);
+  EXPECT_EQ(by_run.evictions, by_pieces.evictions);
+  ReferenceGraph g(edges, info.num_vertices);
+  EXPECT_EQ(levels(run_engine), ReferenceBfsLevels(g, 0));
+  EXPECT_GT(skipped_promotions, 0u) << "no promotion landed in a skipped partition; the "
+                                       "input no longer exercises the guard";
 }
 
 }  // namespace

@@ -16,8 +16,12 @@
 #include <vector>
 
 #include "algorithms/bfs.h"
+#include "algorithms/hyperanf.h"
 #include "algorithms/pagerank.h"
+#include "algorithms/scc.h"
+#include "algorithms/sssp.h"
 #include "algorithms/wcc.h"
+#include "core/inmem_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -225,6 +229,141 @@ TEST(SchedulerTest, LateAdmissionJoinsAtNextPartitionBoundary) {
   ExpectBfsMatches(*bfs, g, 1);
   EXPECT_GE(sched.report(ids[1]).rounds, 1u);
   EXPECT_GT(sched.stats().scans_saved, 0u);  // the two jobs overlapped
+}
+
+// ---- Selective scheduling in shared scans ----------------------------------
+
+// The same algorithm with its Active hook hidden: such a job wants every
+// partition every round, as all jobs did before selective scheduling.
+template <typename Algo>
+struct HideActive : Algo {
+  using Algo::Algo;
+  void Active() const = delete;
+};
+
+// Each vertex's algorithm state as bytes, field by field (never padding).
+template <typename... F>
+std::string Fields(const F&... f) {
+  std::string out;
+  (out.append(reinterpret_cast<const char*>(&f), sizeof(f)), ...);
+  return out;
+}
+std::string Key(const WccAlgorithm::VertexState& s) { return Fields(s.label, s.active); }
+std::string Key(const BfsAlgorithm::VertexState& s) { return Fields(s.level, s.active); }
+std::string Key(const SsspAlgorithm::VertexState& s) { return Fields(s.dist, s.active); }
+std::string Key(const SccAlgorithm::VertexState& s) {
+  return Fields(s.color, s.scc, s.active);
+}
+std::string Key(const HyperAnfAlgorithm::VertexState& s) { return Fields(s.regs, s.active); }
+
+struct KeyedOutput {
+  std::vector<std::string> keys;  // by original vertex id
+  RunStats stats;
+};
+
+// A job of Algo attached to the harness's device scan source, with its
+// vertices in files and its updates spilled, delivering per-vertex Keys.
+template <typename Algo>
+std::unique_ptr<ScheduledJob> MakeKeyedJob(DeviceHarness& h, const std::string& name, Algo algo,
+                                           std::shared_ptr<KeyedOutput> out) {
+  using Store = DeviceStreamStore<Algo>;
+  using Driver = StreamingPhaseDriver<Algo, Store>;
+  DeviceStoreOptions opts;
+  opts.io_unit_bytes = 16 * 1024;
+  opts.allow_vertex_memory_opt = false;
+  opts.allow_update_memory_opt = false;
+  opts.file_prefix = name;
+  h.source->ConfigureAttachedStore(opts);
+  auto store = std::make_unique<Store>(h.pool, h.layout, opts, h.edge_dev, h.update_dev,
+                                       h.vertex_dev, std::string());
+  PhaseDriverOptions dopts;
+  dopts.progress_prefix = "job." + name;
+  return std::make_unique<TypedJob<Algo, Store>>(
+      name, std::move(algo), std::move(store), dopts, UINT64_MAX,
+      [out](Driver& driver, Algo&) {
+        out->stats = driver.stats();
+        out->keys.assign(driver.layout().num_vertices(), std::string());
+        driver.VertexMap([&out](VertexId v, typename Algo::VertexState& s) {
+          out->keys[v] = Key(s);
+        });
+      });
+}
+
+TEST(SchedulerTest, SelectiveScansMatchFullScansBesidePageRank) {
+  EdgeList edges = TestGraph(19);
+  DeviceHarness h(edges);
+  JobScheduler sched(*h.source);
+  auto pagerank = h.Submit(sched, "pagerank:iters=5", h.SpillHeavyConfig(), nullptr);
+  struct Pair {
+    std::string name;
+    std::shared_ptr<KeyedOutput> with = std::make_shared<KeyedOutput>();
+    std::shared_ptr<KeyedOutput> without = std::make_shared<KeyedOutput>();
+  };
+  std::vector<Pair> pairs;
+  auto submit = [&](const std::string& name, auto algo, auto hidden) {
+    Pair p{name};
+    sched.Submit(MakeKeyedJob(h, name, std::move(algo), p.with));
+    sched.Submit(MakeKeyedJob(h, name + "-full", std::move(hidden), p.without));
+    pairs.push_back(std::move(p));
+  };
+  submit("wcc", WccAlgorithm{}, HideActive<WccAlgorithm>{});
+  submit("bfs", BfsAlgorithm(0), HideActive<BfsAlgorithm>(0));
+  submit("sssp", SsspAlgorithm(0), HideActive<SsspAlgorithm>(0));
+  submit("scc", SccAlgorithm{}, HideActive<SccAlgorithm>{});
+  submit("hyperanf", HyperAnfAlgorithm(), HideActive<HyperAnfAlgorithm>());
+  sched.RunAll();
+  EXPECT_EQ(sched.stats().jobs_completed, 11u);
+
+  for (const Pair& p : pairs) {
+    SCOPED_TRACE(p.name);
+    ASSERT_EQ(p.with->keys.size(), h.info.num_vertices);
+    EXPECT_TRUE(p.with->keys == p.without->keys);
+    EXPECT_EQ(p.with->stats.iterations, p.without->stats.iterations);
+    EXPECT_LE(p.with->stats.edges_streamed, p.without->stats.edges_streamed);
+    EXPECT_EQ(p.without->stats.edges_streamed, edges.size() * p.without->stats.iterations);
+  }
+  EXPECT_LT(pairs[0].with->stats.edges_streamed, pairs[0].without->stats.edges_streamed)
+      << "WCC's converged partitions must drop out of the shared scans";
+  EXPECT_EQ(pagerank->stats.edges_streamed, edges.size() * pagerank->stats.iterations);
+}
+
+TEST(SchedulerTest, ConvergedJobRetiresWithoutAnEmptyCycle) {
+  // WCC's last round can scan nothing: the round before it left no vertex
+  // active. That round ends at the boundary where it begins, instead of
+  // waiting out a cycle of scans run for a long PageRank job.
+  EdgeList edges = TestGraph(23);
+  DeviceHarness h(edges);
+  const uint32_t k = h.layout.num_partitions();
+  InMemoryConfig solo_cfg;
+  solo_cfg.threads = 2;
+  solo_cfg.num_partitions = k;
+  InMemoryEngine<WccAlgorithm> solo(solo_cfg, edges, h.info.num_vertices);
+  WccResult expected = RunWcc(solo);
+  const RunStats& last = solo.stats();
+  ASSERT_GE(last.iterations, 2u);
+  ASSERT_EQ(last.per_iteration.back().edges_streamed, 0u)
+      << "WCC's last solo iteration should scan nothing";
+
+  JobScheduler sched(*h.source);
+  std::vector<JobId> ids;
+  h.Submit(sched, "pagerank:iters=100", h.SpillHeavyConfig(), &ids);
+  auto wcc = h.Submit(sched, "wcc", h.SpillHeavyConfig(), &ids);
+  const uint64_t steps_to_retire = (last.iterations - 1) * k;
+  for (uint64_t step = 1; step <= steps_to_retire; ++step) {
+    ASSERT_EQ(sched.Poll(ids[1]), step == 1 ? JobState::kQueued : JobState::kRunning)
+        << "step " << step;
+    ASSERT_TRUE(sched.PumpOne());
+  }
+  EXPECT_EQ(sched.Poll(ids[1]), JobState::kDone);
+  EXPECT_EQ(sched.Poll(ids[0]), JobState::kRunning);
+  EXPECT_EQ(sched.report(ids[1]).rounds, last.iterations);
+  EXPECT_EQ(wcc->stats.iterations, last.iterations);
+  ASSERT_EQ(wcc->per_vertex.size(), expected.labels.size());
+  for (uint64_t v = 0; v < expected.labels.size(); ++v) {
+    EXPECT_EQ(wcc->per_vertex[v], static_cast<double>(expected.labels[v])) << "vertex " << v;
+  }
+  sched.Cancel(ids[0]);
+  sched.RunAll();
 }
 
 TEST(SchedulerTest, CancelRetiresQueuedAndRunningJobs) {

@@ -288,8 +288,8 @@ TEST(ServeTest, AllAlgorithmsOverHttpMatchSoloSchedulerBitExact) {
     std::vector<double> solo = SoloRun(h.edges, cases[i].solo_spec);
     ASSERT_EQ(values.size(), solo.size()) << cases[i].solo_spec;
     for (size_t vtx = 0; vtx < solo.size(); ++vtx) {
-      // EXPECT_EQ, not NEAR: %.17g serialization round-trips exactly, so the
-      // HTTP path must reproduce the solo run bit for bit.
+      // EXPECT_EQ, not NEAR: shortest round-trip serialization reads back
+      // exactly, so the HTTP path must reproduce the solo run bit for bit.
       EXPECT_EQ(ResultValue(values[vtx]), solo[vtx])
           << cases[i].solo_spec << " vertex " << vtx;
     }

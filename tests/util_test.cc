@@ -1,11 +1,13 @@
 // Unit tests for the utility layer.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstring>
 #include <set>
 
 #include "util/aligned.h"
 #include "util/format.h"
+#include "util/json.h"
 #include "util/options.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -180,6 +182,28 @@ TEST(IntervalAccumulatorTest, SumsIntervals) {
   EXPECT_GE(acc.TotalSeconds(), 0.0);
   acc.Clear();
   EXPECT_EQ(acc.TotalSeconds(), 0.0);
+}
+
+TEST(JsonTest, DoublesRoundTripBitExactly) {
+  const double values[] = {0.1, 1.0 / 3.0, 5e-324, DBL_MAX, -0.0, static_cast<double>(0.1f)};
+  JsonWriter w;
+  w.BeginArray();
+  for (double v : values) {
+    w.Value(v);
+  }
+  w.EndArray();
+  JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(ParseJson(w.str(), &parsed, &error)) << error << ": " << w.str();
+  const std::vector<JsonValue>& got = parsed.as_array();
+  ASSERT_EQ(got.size(), std::size(values));
+  for (size_t i = 0; i < got.size(); ++i) {
+    double back = got[i].as_double();
+    EXPECT_EQ(std::memcmp(&back, &values[i], sizeof(double)), 0)
+        << "value " << i << " came back as " << back << " from " << w.str();
+  }
+  // Shortest form, not %.17g's 0.10000000000000001.
+  EXPECT_EQ(w.str().substr(0, 5), "[0.1,");
 }
 
 }  // namespace
