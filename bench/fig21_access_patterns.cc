@@ -27,7 +27,7 @@ namespace {
 // whole edge list sequentially plus the generated updates (write+read), and
 // touches one random vertex line per edge/update.
 double XStreamMemRefs(const RunStats& stats) {
-  double seq_bytes = static_cast<double>(stats.edges_streamed) * sizeof(Edge) +
+  double seq_bytes = static_cast<double>(stats.edges_streamed) * sizeof(StoredEdge<BfsAlgorithm>) +
                      2.0 * static_cast<double>(stats.updates_generated) *
                          sizeof(BfsAlgorithm::Update);
   double random_refs = static_cast<double>(stats.edges_streamed) +

@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
   // count keeps the check exact).
   double d = static_cast<double>(r.stats.iterations);
   double v_bytes = static_cast<double>(info.num_vertices) * sizeof(WccAlgorithm::VertexState);
-  double e_bytes = static_cast<double>(info.num_edges) * sizeof(Edge);
+  double e_bytes =
+      static_cast<double>(info.num_edges) * static_cast<double>(engine.store().edge_record_bytes());
   double u_bytes =
       static_cast<double>(r.stats.updates_generated) * sizeof(WccAlgorithm::Update);
   double log_term =

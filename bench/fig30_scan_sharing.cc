@@ -242,6 +242,7 @@ ModeRun RunShared(const std::vector<JobSpec>& specs, const BenchSetup& s) {
   sopts.io_unit_bytes = s.io_unit_bytes;
   sopts.file_prefix = "scan";
   sopts.collect_dst_tallies = false;  // no job in this bench pins
+  sopts.keep_edge_weights = JobsReadEdgeWeights(specs);
   DeviceScanSource source(pool, layout, sopts, edge_dev, "fig30.input");
 
   JobScheduler scheduler(source);

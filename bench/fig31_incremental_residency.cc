@@ -232,7 +232,9 @@ int main(int argc, char** argv) {
   uint64_t final_reads = edge_dev.stats().bytes_read;
   uint64_t scanned_edge_bytes = 0;
   for (uint32_t p = 0; p < k; ++p) {
-    scanned_edge_bytes += scanned[p] ? engine.store().src_edge_counts()[p] * sizeof(Edge) : 0;
+    scanned_edge_bytes += scanned[p] ? engine.store().src_edge_counts()[p] *
+                                           engine.store().edge_record_bytes()
+                                     : 0;
   }
   // Reads past one capture per scanned partition (0 when every later scan
   // is served from the pinned cache).

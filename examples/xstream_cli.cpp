@@ -246,7 +246,7 @@ obs::HttpResponse StatsEndpoint(const std::string& /*query*/) {
   }
   w.Key("metrics").Raw(obs::MetricsRegistry::Global().ToJson());
   w.EndObject();
-  return obs::HttpResponse{200, "application/json", w.TakeString()};
+  return obs::HttpResponse{200, "application/json", w.TakeString(), {}};
 }
 
 // GET /jobs: per-job scheduler progress (empty array outside --jobs mode).
@@ -254,7 +254,7 @@ obs::HttpResponse JobsEndpoint(const std::string& /*query*/) {
   std::lock_guard<std::mutex> lock(g_live.mu);
   std::string body =
       g_live.scheduler != nullptr ? JobReportsToJson(g_live.scheduler->reports()) : "[]";
-  return obs::HttpResponse{200, "application/json", std::move(body)};
+  return obs::HttpResponse{200, "application/json", std::move(body), {}};
 }
 
 // ---- --trace flush on SIGINT/SIGTERM --------------------------------------
@@ -577,6 +577,9 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
     sopts.file_prefix = "scan";
     // Only hybrid job stores consume the residency-planner tallies.
     sopts.collect_dst_tallies = engine_name == "hybrid";
+    // The batch is fixed, so the edge files need weights only if a job
+    // reads them.
+    sopts.keep_edge_weights = JobsReadEdgeWeights(specs);
     auto dev = std::make_unique<DeviceScanSource>(pool, layout, sopts, *disk, "cli.input");
     std::printf("scheduler: %zu jobs over shared edge files in %s, %u partitions (%s)%s\n",
                 specs.size(), workdir.c_str(), layout.num_partitions(),

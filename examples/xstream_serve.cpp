@@ -1,8 +1,9 @@
 // xstream-serve: multi-tenant graph query daemon over the X-Stream engine.
 //
 //   xstream-serve --graphs=social=rmat:14 --port=8080
-//   xstream-serve --graphs=web=file:edges.txt,roads=grid:16 \
+//   xstream-serve --graphs=web=file:edges.txt,roads=grid:16
 //                 --tenants=prod:weight=3:max-jobs=4,batch:weight=1 --port=0
+//   (the last example is one command line)
 //
 // Loads and partitions every --graphs entry at startup, then serves
 // algorithm queries over HTTP (POST /v1/jobs, see docs/serving.md) through

@@ -145,6 +145,7 @@ struct AlsAlgorithm {
   VertexId num_users_;
   uint64_t seed_;
 };
+static_assert(ReadsEdgeWeight<AlsAlgorithm>, "Scatter reads edge weights");
 
 static_assert(EdgeCentricAlgorithm<AlsAlgorithm>);
 
@@ -170,7 +171,7 @@ AlsResult RunAls(Engine& engine, VertexId num_users, uint64_t iterations = 5,
 
   // Evaluation pass: users accumulate squared error against item vectors.
   algo.mode = AlsAlgorithm::Mode::kEvaluate;
-  engine.VertexMap([](VertexId v, VS& s) {
+  engine.VertexMap([](VertexId /*v*/, VS& s) {
     s.atb[0] = 0.0f;
     s.ratings = 0;
   });

@@ -19,6 +19,9 @@
 namespace xstream {
 
 struct BfsAlgorithm {
+  // Scatter never reads edge weights: stream 8-byte EdgePair records.
+  static constexpr bool kReadsEdgeWeight = false;
+
   explicit BfsAlgorithm(VertexId root) : root_(root) {}
 
   struct VertexState {
@@ -58,7 +61,7 @@ struct BfsAlgorithm {
     return false;
   }
 
-  void EndVertex(VertexId v, VertexState& s) const {
+  void EndVertex(VertexId /*v*/, VertexState& s) const {
     s.active = s.next_active;
     s.next_active = 0;
   }

@@ -24,6 +24,9 @@
 namespace xstream {
 
 struct BpAlgorithm {
+  // Scatter never reads edge weights: stream 8-byte EdgePair records.
+  static constexpr bool kReadsEdgeWeight = false;
+
   explicit BpAlgorithm(uint64_t seed = 23, float epsilon = 0.1f, float seed_fraction = 0.05f)
       : seed_(seed), epsilon_(epsilon), seed_fraction_(seed_fraction) {}
 
@@ -79,7 +82,7 @@ struct BpAlgorithm {
     return true;
   }
 
-  void EndVertex(VertexId v, VertexState& s) const {
+  void EndVertex(VertexId /*v*/, VertexState& s) const {
     // belief ∝ prior * exp(acc); normalize via the max for stability.
     float l0 = std::log(std::max(s.prior0, 1e-12f)) + s.acc0;
     float l1 = std::log(std::max(s.prior1, 1e-12f)) + s.acc1;
@@ -106,9 +109,10 @@ struct BpResult {
   RunStats stats;
 };
 
-template <typename Engine>
+// `Algo` may be a type derived from BpAlgorithm (the engine's algorithm).
+template <typename Algo = BpAlgorithm, typename Engine>
 BpResult RunBp(Engine& engine, uint64_t iterations = 5, uint64_t seed = 23) {
-  BpAlgorithm algo(seed);
+  Algo algo(seed);
   BpResult result;
   result.stats = engine.Run(algo, iterations);
   result.belief1.resize(engine.num_vertices());

@@ -18,6 +18,9 @@
 namespace xstream {
 
 struct ConductanceAlgorithm {
+  // Scatter never reads edge weights: stream 8-byte EdgePair records.
+  static constexpr bool kReadsEdgeWeight = false;
+
   // side(v) = hash(seed, v) & 1 — a pseudo-random balanced cut, matching the
   // paper's use of conductance as a pure streaming kernel.
   explicit ConductanceAlgorithm(uint64_t seed = 7) : seed_(seed) {}
@@ -73,15 +76,17 @@ struct ConductanceResult {
   RunStats stats;
 };
 
-template <typename Engine>
+// `Algo` may be a type derived from ConductanceAlgorithm (the engine's
+// algorithm).
+template <typename Algo = ConductanceAlgorithm, typename Engine>
 ConductanceResult RunConductance(Engine& engine, uint64_t seed = 7) {
-  ConductanceAlgorithm algo(seed);
+  Algo algo(seed);
   ConductanceResult result;
   result.stats = engine.Run(algo, 1);
   struct Acc {
     uint64_t cross = 0, vol_s = 0, vol_rest = 0;
   };
-  Acc acc = engine.VertexFold(Acc{}, [](Acc a, VertexId v,
+  Acc acc = engine.VertexFold(Acc{}, [](Acc a, VertexId /*v*/,
                                         const ConductanceAlgorithm::VertexState& s) {
     a.cross += s.cross;
     if (s.side) {

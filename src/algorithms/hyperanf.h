@@ -23,6 +23,9 @@
 namespace xstream {
 
 struct HyperAnfAlgorithm {
+  // Scatter never reads edge weights: stream 8-byte EdgePair records.
+  static constexpr bool kReadsEdgeWeight = false;
+
   // 32 registers => relative std deviation ~1.04/sqrt(32) ≈ 18%, plenty for
   // detecting N(t) convergence.
   static constexpr uint32_t kRegisters = 32;
@@ -83,7 +86,7 @@ struct HyperAnfAlgorithm {
     return grew;
   }
 
-  void EndVertex(VertexId v, VertexState& s) const {
+  void EndVertex(VertexId /*v*/, VertexState& s) const {
     s.active = s.next_active;
     s.next_active = 0;
   }
@@ -131,7 +134,7 @@ HyperAnfResult RunHyperAnf(Engine& engine, uint64_t seed = 29, uint32_t max_step
 
   engine.VertexMap([&algo](VertexId v, VS& s) { algo.Init(v, s); });
   auto estimate_total = [&engine]() {
-    return engine.VertexFold(0.0, [](double acc, VertexId v, const VS& s) {
+    return engine.VertexFold(0.0, [](double acc, VertexId /*v*/, const VS& s) {
       return acc + HyperAnfAlgorithm::Estimate(s);
     });
   };

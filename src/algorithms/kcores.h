@@ -21,6 +21,9 @@
 namespace xstream {
 
 struct KCoreAlgorithm {
+  // Scatter never reads edge weights: stream 8-byte EdgePair records.
+  static constexpr bool kReadsEdgeWeight = false;
+
   explicit KCoreAlgorithm(uint32_t k) : k_(k) {}
 
   struct VertexState {
@@ -36,7 +39,7 @@ struct KCoreAlgorithm {
   };
 #pragma pack(pop)
 
-  void Init(VertexId v, VertexState& s) const {
+  void Init(VertexId /*v*/, VertexState& s) const {
     s.degree = 0;
     s.removed = 0;
     s.announced = 0;
@@ -67,7 +70,7 @@ struct KCoreAlgorithm {
     return true;
   }
 
-  void EndVertex(VertexId v, VertexState& s) const {
+  void EndVertex(VertexId /*v*/, VertexState& s) const {
     if (s.removed) {
       if (!s.announced && phase_ > 0) {
         s.announced = 1;  // its decrements went out this round
@@ -94,9 +97,10 @@ struct KCoreResult {
 };
 
 // Runs the peeling to fixpoint on an undirected (both-directions) edge list.
-template <typename Engine>
+// `Algo` may be a type derived from KCoreAlgorithm (the engine's algorithm).
+template <typename Algo = KCoreAlgorithm, typename Engine>
 KCoreResult RunKCore(Engine& engine, uint32_t k) {
-  KCoreAlgorithm algo(k);
+  Algo algo(k);
   KCoreResult result;
   result.stats = engine.Run(algo);
   result.in_core.resize(engine.num_vertices());

@@ -81,6 +81,7 @@ struct McstAlgorithm {
     return false;
   }
 };
+static_assert(ReadsEdgeWeight<McstAlgorithm>, "Scatter reads edge weights");
 
 static_assert(EdgeCentricAlgorithm<McstAlgorithm>);
 
@@ -117,7 +118,7 @@ McstResult RunMcst(Engine& engine) {
   for (;;) {
     ++result.rounds;
     // Reset per-round candidates, then stream all edges once.
-    engine.VertexMap([](VertexId v, VS& s) {
+    engine.VertexMap([](VertexId /*v*/, VS& s) {
       s.best_src_comp = McstAlgorithm::kNone;
       s.best_src = McstAlgorithm::kNone;
     });
@@ -136,7 +137,7 @@ McstResult RunMcst(Engine& engine) {
       bool valid = false;
     };
     std::unordered_map<uint32_t, Cand> best;
-    engine.VertexFold(0, [&](int acc, VertexId v, const VS& s) {
+    engine.VertexFold(0, [&](int acc, VertexId /*v*/, const VS& s) {
       if (s.best_src_comp == McstAlgorithm::kNone) {
         return acc;
       }
@@ -170,7 +171,7 @@ McstResult RunMcst(Engine& engine) {
       break;  // every remaining candidate was already intra-component
     }
     // Flatten labels back into the vertex states for the next round.
-    engine.VertexMap([&](VertexId v, VS& s) { s.component = find(s.component); });
+    engine.VertexMap([&](VertexId /*v*/, VS& s) { s.component = find(s.component); });
   }
 
   result.component.resize(n);

@@ -23,6 +23,9 @@
 namespace xstream {
 
 struct MisAlgorithm {
+  // Scatter never reads edge weights: stream 8-byte EdgePair records.
+  static constexpr bool kReadsEdgeWeight = false;
+
   explicit MisAlgorithm(uint64_t seed = 11) : seed_(seed) {}
 
   enum Status : uint8_t { kUndecided = 0, kIn = 1, kOut = 2 };
@@ -81,7 +84,7 @@ struct MisAlgorithm {
     return false;
   }
 
-  void EndVertex(VertexId v, VertexState& s) const {
+  void EndVertex(VertexId /*v*/, VertexState& s) const {
     if (s.status == kIn) {
       s.announced = 1;  // the round after joining, the announcement was sent
       return;
@@ -111,9 +114,10 @@ struct MisResult {
   RunStats stats;
 };
 
-template <typename Engine>
+// `Algo` may be a type derived from MisAlgorithm (the engine's algorithm).
+template <typename Algo = MisAlgorithm, typename Engine>
 MisResult RunMis(Engine& engine, uint64_t seed = 11) {
-  MisAlgorithm algo(seed);
+  Algo algo(seed);
   MisResult result;
   result.stats = engine.Run(algo);
   result.in_set.resize(engine.num_vertices());

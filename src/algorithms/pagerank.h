@@ -17,6 +17,9 @@
 namespace xstream {
 
 struct PageRankAlgorithm {
+  // Scatter never reads edge weights: stream 8-byte EdgePair records.
+  static constexpr bool kReadsEdgeWeight = false;
+
   PageRankAlgorithm(uint64_t num_vertices, uint64_t rank_iterations)
       : num_vertices_(num_vertices), rank_iterations_(rank_iterations) {}
 
@@ -33,7 +36,7 @@ struct PageRankAlgorithm {
   };
 #pragma pack(pop)
 
-  void Init(VertexId v, VertexState& s) const {
+  void Init(VertexId /*v*/, VertexState& s) const {
     s.rank = 1.0f / static_cast<float>(num_vertices_);
     s.sum = 0.0f;
     s.degree = 0;
@@ -65,7 +68,7 @@ struct PageRankAlgorithm {
     return true;
   }
 
-  void EndVertex(VertexId v, VertexState& s) const {
+  void EndVertex(VertexId /*v*/, VertexState& s) const {
     if (phase_ == 0) {
       return;  // ranks stay at 1/N until the first rank round
     }
@@ -93,9 +96,11 @@ struct PageRankResult {
   RunStats stats;
 };
 
-template <typename Engine>
+// `Algo` may be a type derived from PageRankAlgorithm (the engine's
+// algorithm).
+template <typename Algo = PageRankAlgorithm, typename Engine>
 PageRankResult RunPageRank(Engine& engine, uint64_t iterations = 5) {
-  PageRankAlgorithm algo(engine.num_vertices(), iterations);
+  Algo algo(engine.num_vertices(), iterations);
   PageRankResult result;
   result.stats = engine.Run(algo, iterations + 1);
   result.ranks.resize(engine.num_vertices());

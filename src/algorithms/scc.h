@@ -104,7 +104,7 @@ struct SccAlgorithm {
     return false;
   }
 
-  void EndVertex(VertexId v, VertexState& s) const {
+  void EndVertex(VertexId /*v*/, VertexState& s) const {
     s.active = s.next_active;
     s.next_active = 0;
   }
@@ -114,6 +114,7 @@ struct SccAlgorithm {
 
   Phase phase = Phase::kForward;
 };
+static_assert(ReadsEdgeWeight<SccAlgorithm>, "Scatter reads edge weights");
 
 static_assert(EdgeCentricAlgorithm<SccAlgorithm>);
 
@@ -168,7 +169,7 @@ SccResult RunScc(Engine& engine) {
     }
 
     uint64_t remaining = engine.VertexFold(
-        uint64_t{0}, [](uint64_t acc, VertexId v, const VS& s) {
+        uint64_t{0}, [](uint64_t acc, VertexId /*v*/, const VS& s) {
           return acc + (s.scc == SccAlgorithm::kUnassigned ? 1 : 0);
         });
     XS_CHECK_LT(remaining, unassigned) << "SCC made no progress";

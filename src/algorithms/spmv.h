@@ -51,6 +51,7 @@ struct SpmvAlgorithm {
  private:
   uint64_t seed_;
 };
+static_assert(ReadsEdgeWeight<SpmvAlgorithm>, "Scatter reads edge weights");
 
 static_assert(EdgeCentricAlgorithm<SpmvAlgorithm>);
 

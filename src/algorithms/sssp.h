@@ -56,7 +56,7 @@ struct SsspAlgorithm {
     return false;
   }
 
-  void EndVertex(VertexId v, VertexState& s) const {
+  void EndVertex(VertexId /*v*/, VertexState& s) const {
     s.active = s.next_active;
     s.next_active = 0;
   }
@@ -67,6 +67,7 @@ struct SsspAlgorithm {
  private:
   VertexId root_;
 };
+static_assert(ReadsEdgeWeight<SsspAlgorithm>, "Scatter reads edge weights");
 
 static_assert(EdgeCentricAlgorithm<SsspAlgorithm>);
 

@@ -18,6 +18,9 @@
 namespace xstream {
 
 struct WccAlgorithm {
+  // Scatter never reads edge weights: stream 8-byte EdgePair records.
+  static constexpr bool kReadsEdgeWeight = false;
+
   struct VertexState {
     VertexId label = 0;
     uint8_t active = 0;
@@ -55,7 +58,7 @@ struct WccAlgorithm {
     return false;
   }
 
-  void EndVertex(VertexId v, VertexState& s) const {
+  void EndVertex(VertexId /*v*/, VertexState& s) const {
     s.active = s.next_active;
     s.next_active = 0;
   }

@@ -22,11 +22,12 @@ struct PswPageRank {
 
   explicit PswPageRank(uint64_t num_vertices) : n_(num_vertices) {}
 
-  void InitVertex(VertexId v, uint32_t out_degree, VertexValue& value) const {
+  void InitVertex(VertexId /*v*/, uint32_t /*out_degree*/, VertexValue& value) const {
     value = 1.0f / static_cast<float>(n_);
   }
 
-  EdgeValue InitEdge(VertexId src, VertexId dst, float w, uint32_t src_out_degree) const {
+  EdgeValue InitEdge(VertexId /*src*/, VertexId /*dst*/, float /*w*/,
+                     uint32_t src_out_degree) const {
     // Seed edges with the share the first synchronous iteration would see.
     return src_out_degree > 0
                ? 1.0f / static_cast<float>(n_) / static_cast<float>(src_out_degree)

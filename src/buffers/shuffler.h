@@ -80,8 +80,10 @@ inline constexpr uint32_t kMaxStagedPartitions = 65535;
 // so all K blocks fit in stage_bytes (~L2); a full block flushes to its
 // destination cursor with one streaming memcpy, so the big destination
 // buffer sees K sequential write streams instead of K random cursors.
-template <typename Record, typename PartOf>
-void StagedSingleStageShuffle(ThreadPool& pool, const Record* src, Record* dst,
+// `src` may hold another record type than `dst` (see ShuffleRecordsFrom);
+// each record is converted as it is staged.
+template <typename In, typename Record, typename PartOf>
+void StagedSingleStageShuffle(ThreadPool& pool, const In* src, Record* dst,
                               const std::vector<uint64_t>& slice_begin, uint32_t num_partitions,
                               PartOf part_of, size_t stage_bytes,
                               std::vector<std::vector<ChunkRef>>& slices) {
@@ -90,7 +92,7 @@ void StagedSingleStageShuffle(ThreadPool& pool, const Record* src, Record* dst,
   pool.RunOnAll([&](int tid) {
     const uint64_t begin = slice_begin[static_cast<size_t>(tid)];
     const uint64_t n = slice_begin[static_cast<size_t>(tid) + 1] - begin;
-    const Record* in = src + begin;
+    const In* in = src + begin;
     auto& my_chunks = slices[static_cast<size_t>(tid)];
     my_chunks.assign(K, ChunkRef{});
 
@@ -131,7 +133,7 @@ void StagedSingleStageShuffle(ThreadPool& pool, const Record* src, Record* dst,
     for (uint64_t r = 0; r < n; ++r) {
       const uint32_t p = pid[r];
       Record* block = stage.data() + size_t{p} * block_records;
-      block[fill[p]] = in[r];
+      block[fill[p]] = Record(in[r]);
       if (++fill[p] == block_records) {
         std::memcpy(dst + positions[p], block, block_records * sizeof(Record));
         positions[p] += block_records;
@@ -176,15 +178,20 @@ inline int ShuffleStages(uint32_t num_partitions, uint32_t fanout) {
 // Runs the shuffle-tree levels below the top `bits_consumed` bits of the
 // partition id; bits_consumed == 0 runs them all, as one step for any K when
 // fanout >= K. On entry nodes[s] holds slice s's 2^bits_consumed nodes, in
-// node order, in `src` (at least one level must remain). Each level writes
-// slice s's records to its own region of the other buffer — the regions
-// tile [0, total) in slice order — so records never leave their slice and
-// keep their relative order within a partition. Returns the per-slice,
-// per-partition chunks, the buffer they ended in and the levels run.
-template <typename Record, typename PartOf>
-ShuffleOutput<Record> ShuffleLevels(ThreadPool& pool, Record* src, Record* dst,
-                                    const SliceNodes& nodes, uint32_t num_partitions,
-                                    uint32_t fanout, uint32_t bits_consumed, PartOf part_of) {
+// node order, in `in` (at least one level must remain). The first level
+// reads `in` and writes `dst`, converting each record to `Record` (a copy
+// when In is Record); later levels alternate between `dst` and `src`, so
+// `in` is never written. Each level writes slice s's records to its own
+// region of its output buffer — the regions tile [0, total) in slice order
+// — so records never leave their slice and keep their relative order within
+// a partition. `part_of` must accept both record types. Returns the
+// per-slice, per-partition chunks, the buffer they ended in and the levels
+// run.
+template <typename In, typename Record, typename PartOf>
+ShuffleOutput<Record> ShuffleLevelsFrom(ThreadPool& pool, const In* in, Record* src, Record* dst,
+                                        const SliceNodes& nodes, uint32_t num_partitions,
+                                        uint32_t fanout, uint32_t bits_consumed,
+                                        PartOf part_of) {
   const size_t num_slices = nodes.size();
   XS_CHECK_EQ(num_slices, static_cast<size_t>(pool.num_threads()));
   const uint32_t total_bits = CeilLog2(num_partitions);
@@ -219,7 +226,7 @@ ShuffleOutput<Record> ShuffleLevels(ThreadPool& pool, Record* src, Record* dst,
     const uint64_t child_mask = children - 1;
 
     std::vector<std::vector<ChunkRef>> next(num_slices);
-    auto shuffle_slice = [&](size_t s, auto child_of) {
+    auto shuffle_slice = [&](size_t s, const auto* level_in, auto child_of) {
       const size_t num_nodes = first ? nodes[s].size() : cur[s].size();
       auto& my_next = next[s];
       my_next.assign(num_nodes * children, ChunkRef{});
@@ -235,9 +242,9 @@ ShuffleOutput<Record> ShuffleLevels(ThreadPool& pool, Record* src, Record* dst,
                   : std::span<const ChunkRef>(&cur[s][node], 1);
         std::fill(counts.begin(), counts.end(), 0);
         for (const ChunkRef& chunk : chunks) {
-          const Record* in = src + chunk.begin;
+          const auto* rec = level_in + chunk.begin;
           for (uint64_t r = 0; r < chunk.count; ++r) {
-            ++counts[child_of(in[r])];
+            ++counts[child_of(rec[r])];
           }
         }
         for (uint64_t c = 0; c < children; ++c) {
@@ -246,21 +253,29 @@ ShuffleOutput<Record> ShuffleLevels(ThreadPool& pool, Record* src, Record* dst,
           cursor += counts[c];
         }
         for (const ChunkRef& chunk : chunks) {
-          const Record* in = src + chunk.begin;
+          const auto* rec = level_in + chunk.begin;
           for (uint64_t r = 0; r < chunk.count; ++r) {
-            dst[positions[child_of(in[r])]++] = in[r];
+            dst[positions[child_of(rec[r])]++] = Record(rec[r]);
           }
         }
       }
     };
-    pool.RunOnAll([&](int tid) {
-      const size_t s = static_cast<size_t>(tid);
+    auto shuffle_level = [&](size_t s, const auto* level_in) {
       if (any_k) {
-        shuffle_slice(s, [&](const Record& r) { return static_cast<uint64_t>(part_of(r)); });
+        shuffle_slice(s, level_in,
+                      [&](const auto& r) { return static_cast<uint64_t>(part_of(r)); });
       } else {
-        shuffle_slice(s, [&](const Record& r) {
+        shuffle_slice(s, level_in, [&](const auto& r) {
           return (static_cast<uint64_t>(part_of(r)) >> child_shift) & child_mask;
         });
+      }
+    };
+    pool.RunOnAll([&](int tid) {
+      const size_t s = static_cast<size_t>(tid);
+      if (first) {
+        shuffle_level(s, in);
+      } else {
+        shuffle_level(s, static_cast<const Record*>(src));
       }
     });
 
@@ -283,24 +298,38 @@ ShuffleOutput<Record> ShuffleLevels(ThreadPool& pool, Record* src, Record* dst,
   return out;
 }
 
-// Shuffles `count` records (currently in `a`) into partition-grouped chunks,
-// alternating between buffers `a` and `b`.
+// ShuffleLevelsFrom with the input in `src`.
+template <typename Record, typename PartOf>
+ShuffleOutput<Record> ShuffleLevels(ThreadPool& pool, Record* src, Record* dst,
+                                    const SliceNodes& nodes, uint32_t num_partitions,
+                                    uint32_t fanout, uint32_t bits_consumed, PartOf part_of) {
+  return ShuffleLevelsFrom(pool, static_cast<const Record*>(src), src, dst, nodes,
+                           num_partitions, fanout, bits_consumed, part_of);
+}
+
+// Shuffles `count` records from `in` into partition-grouped chunks of
+// `Record`, converting each record as it is copied (a narrowing copy such
+// as Edge -> EdgePair, or a plain copy). `in` is only read. The first step
+// writes `b` and later steps alternate between `a` and `b`, so with at most
+// one step (K <= fanout; K == 1 copies) the records land in `b` and `a` is
+// untouched.
 //
 //  * num_partitions == K. If `fanout` >= K (or stages == 1), a single
 //    counting-shuffle step handles any K. Otherwise K and fanout must both
 //    be powers of two (paper §4.2) and ceil(log_F K) steps run.
-//  * part_of(record) must return a value < K.
+//  * part_of(record) must return a value < K, for both record types.
 //  * stage_bytes > 0 routes single-stage shuffles (K <=
 //    kMaxStagedPartitions) through StagedSingleStageShuffle with that much
 //    per-thread staging; the output is byte-identical either way.
 //
-// Both buffers must hold at least `count` records. Returns the index arrays
-// and the buffer the records ended up in.
-template <typename Record, typename PartOf>
-ShuffleOutput<Record> ShuffleRecords(ThreadPool& pool, Record* a, Record* b, uint64_t count,
-                                     uint32_t num_partitions, uint32_t fanout, PartOf part_of,
-                                     size_t stage_bytes = 0) {
-  static_assert(std::is_trivially_copyable_v<Record>);
+// The buffers the steps write must hold at least `count` records. Returns
+// the index arrays and the buffer the records ended up in.
+template <typename In, typename Record, typename PartOf>
+ShuffleOutput<Record> ShuffleRecordsFrom(ThreadPool& pool, const In* in, Record* a, Record* b,
+                                         uint64_t count, uint32_t num_partitions,
+                                         uint32_t fanout, PartOf part_of,
+                                         size_t stage_bytes = 0) {
+  static_assert(std::is_trivially_copyable_v<In> && std::is_trivially_copyable_v<Record>);
   const int stages = ShuffleStages(num_partitions, fanout);
 
   const int num_slices = pool.num_threads();
@@ -318,8 +347,14 @@ ShuffleOutput<Record> ShuffleRecords(ThreadPool& pool, Record* a, Record* b, uin
   }
 
   if (stages == 0) {
+    pool.RunOnAll([&](int tid) {
+      const size_t s = static_cast<size_t>(tid);
+      for (uint64_t r = slice_begin[s]; r < slice_begin[s + 1]; ++r) {
+        b[r] = Record(in[r]);
+      }
+    });
     ShuffleOutput<Record> out;
-    out.data = a;
+    out.data = b;
     out.num_partitions = 1;
     out.slices = std::move(slice_chunks);
     return out;
@@ -329,7 +364,7 @@ ShuffleOutput<Record> ShuffleRecords(ThreadPool& pool, Record* a, Record* b, uin
     ShuffleOutput<Record> out;
     out.num_partitions = num_partitions;
     out.slices.resize(static_cast<size_t>(num_slices));
-    StagedSingleStageShuffle(pool, a, b, slice_begin, num_partitions, part_of, stage_bytes,
+    StagedSingleStageShuffle(pool, in, b, slice_begin, num_partitions, part_of, stage_bytes,
                              out.slices);
     obs::MetricsRegistry::Global().counter("shuffle.staged_records").Add(count);
     out.data = b;
@@ -341,7 +376,30 @@ ShuffleOutput<Record> ShuffleRecords(ThreadPool& pool, Record* a, Record* b, uin
   for (size_t s = 0; s < roots.size(); ++s) {
     roots[s] = {std::move(slice_chunks[s])};
   }
-  return ShuffleLevels(pool, a, b, roots, num_partitions, fanout, 0, part_of);
+  return ShuffleLevelsFrom(pool, in, a, b, roots, num_partitions, fanout, 0, part_of);
+}
+
+// Shuffles `count` records (currently in `a`) into partition-grouped chunks,
+// alternating between buffers `a` and `b`, as ShuffleRecordsFrom does from
+// `a` — except that with K == 1 the records stay where they are, in `a`.
+// Both buffers must hold at least `count` records.
+template <typename Record, typename PartOf>
+ShuffleOutput<Record> ShuffleRecords(ThreadPool& pool, Record* a, Record* b, uint64_t count,
+                                     uint32_t num_partitions, uint32_t fanout, PartOf part_of,
+                                     size_t stage_bytes = 0) {
+  if (ShuffleStages(num_partitions, fanout) == 0) {
+    ShuffleOutput<Record> out;
+    out.data = a;
+    out.num_partitions = 1;
+    const uint64_t slices = static_cast<uint64_t>(pool.num_threads());
+    for (uint64_t s = 0; s < slices; ++s) {
+      const uint64_t begin = count * s / slices;
+      out.slices.push_back({ChunkRef{begin, count * (s + 1) / slices - begin}});
+    }
+    return out;
+  }
+  return ShuffleRecordsFrom(pool, static_cast<const Record*>(a), a, b, count, num_partitions,
+                            fanout, part_of, stage_bytes);
 }
 
 }  // namespace xstream

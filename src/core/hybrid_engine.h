@@ -226,10 +226,6 @@ class HybridEngine {
   // The budget at which every partition pins (benches sweep fractions).
   uint64_t FullPinBytes() const { return store_->FullPinBytes(); }
 
-  // Names of the per-partition edge files, for partitioned semi-streaming
-  // runs (RunSemiStreamingPartitioned) over this engine's store.
-  std::vector<std::string> EdgeFileNames() const { return store_->EdgeFileNames(); }
-
   RunStats& stats() { return driver_->stats(); }
   const RunStats& stats() const { return driver_->stats(); }
 

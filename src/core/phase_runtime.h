@@ -635,18 +635,21 @@ class StreamingPhaseDriver {
  private:
   static constexpr size_t kCheckpointChunkBytes = 4 * 1024 * 1024;
 
-  // Shared scatter inner loop: streams one span of edges against the given
-  // state slice, appending emitted updates from thread `tid` (to their
+  // Shared scatter inner loop: streams one span of stored edge records
+  // (Edge, or EdgePair seen as an Edge of weight 0) against the given state
+  // slice, appending emitted updates from thread `tid` (to their
   // destination bucket in the partition-parallel shape). Returns the number
   // of wasted edges (streamed, no update sent — Fig 12b).
-  uint64_t ScatterSpan(Algo& algo, const Edge* es, uint64_t count,
+  template <typename EdgeRecord>
+  uint64_t ScatterSpan(Algo& algo, const EdgeRecord* es, uint64_t count,
                        const VertexState* state_base, VertexId part_base, int tid,
                        ScatterAppender& appender) {
     const PartitionLayout& layout = store_.layout();
     uint64_t wasted = 0;
     for (uint64_t i = 0; i < count; ++i) {
       Update out;
-      if (algo.Scatter(state_base[layout.DenseId(es[i].src) - part_base], es[i], out)) {
+      if (algo.Scatter(state_base[layout.DenseId(es[i].src) - part_base], ToEdge(es[i]),
+                       out)) {
         if constexpr (Store::kPartitionParallel) {
           appender.Append(tid, layout.PartitionOf(out.dst) >> bucket_shift_, out);
         } else {
@@ -711,7 +714,6 @@ class StreamingPhaseDriver {
     const PartitionLayout& layout = store_.layout();
     ThreadPool& pool = store_.pool();
     ScatterAppender& appender = *scatter_appender_;
-    const ShuffleOutput<Edge>& edge_chunks = store_.edge_chunks();
     std::atomic<uint64_t> edges_streamed{0};
     std::atomic<uint64_t> wasted{0};
     queues_.Distribute(layout.num_partitions());
@@ -734,12 +736,10 @@ class StreamingPhaseDriver {
           }
           obs::PhaseTimer cell(&accountant_, obs::Phase::kScatter, p,
                                obs::PhaseTimerMode::kCellOnly);
-          for (const auto& slice : edge_chunks.slices) {
-            const ChunkRef& c = slice[p];
-            local_wasted +=
-                ScatterSpan(algo, edge_chunks.data + c.begin, c.count, states, 0, tid, appender);
-            local_edges += c.count;
-          }
+          store_.ForEachEdgeChunk(p, [&](const auto* es, uint64_t n) {
+            local_wasted += ScatterSpan(algo, es, n, states, 0, tid, appender);
+            local_edges += n;
+          });
         }
         edges_streamed.fetch_add(local_edges, std::memory_order_relaxed);
         wasted.fetch_add(local_wasted, std::memory_order_relaxed);
@@ -914,7 +914,8 @@ class StreamingPhaseDriver {
   void PublishThroughput(uint64_t edges) {
     double elapsed = progress_clock_.Seconds();
     if (elapsed > 0.0) {
-      progress_throughput_->Set(static_cast<double>(edges) * sizeof(Edge) / elapsed);
+      progress_throughput_->Set(static_cast<double>(edges) *
+                                static_cast<double>(store_.edge_record_bytes()) / elapsed);
     }
   }
 

@@ -84,9 +84,11 @@ SemiStreamStats RunSemiStreaming(A& algo, StorageDevice& dev, const std::string&
   return stats;
 }
 
-// Streams a *partitioned* edge store — per-partition edge files as laid out
-// by the out-of-core engine or any PartitionLayout — through the algorithm,
-// partition by partition within each pass. Semi-streaming algorithms are
+// Streams a *partitioned* edge store — per-partition files of 12-byte Edge
+// records, one per partition of any PartitionLayout — through the
+// algorithm, partition by partition within each pass. (The device engine's
+// files hold 8-byte EdgePairs for algorithms that never read weights; they
+// are not in this format.) Semi-streaming algorithms are
 // edge-order oblivious, so the partitioned order is just another stream; but
 // running over the partitioned store lets them share storage with a
 // scatter-gather engine (no separate flat copy of the graph), and

@@ -7,13 +7,15 @@
 // is parameterized over one of the two stores here:
 //
 //  * MemoryStreamStore — the in-memory engine's substrate (§4): an edge
-//    buffer pre-shuffled into per-partition chunks once at setup, an update
+//    buffer pre-shuffled into per-partition chunks once at setup (8-byte
+//    EdgePairs when the algorithm reads no weights), an update
 //    buffer that scatter appends into already grouped by destination, a
 //    shuffle-scratch buffer only when the partitions outnumber the shuffle
 //    fanout, and all vertex state resident in one dense-ordered array.
 //    Never spills.
-//  * DeviceStreamStore — the device engine's substrate (§3): one edge,
-//    update and vertex file per streaming partition on StorageDevices,
+//  * DeviceStreamStore — the device engine's substrate (§3): one edge
+//    (Edge or EdgePair records, see below), update and vertex file per
+//    streaming partition on StorageDevices,
 //    chunked StreamReader input, and a spill path that shuffles a filled
 //    output buffer and appends the per-partition chunks to the update files
 //    on the device's I/O thread. Spill writes are double-buffered: the
@@ -88,13 +90,34 @@ concept StreamStoreFor = requires(S s, const S cs, uint32_t p, RunStats stats) {
 };
 
 // ---------------------------------------------------------------------------
-// Shared edge-partitioning plumbing.
+// Shared edge-partitioning plumbing, and the device edge-file format.
 //
 // The device store's setup and ingest paths, and the multi-job scheduler's
 // shared-scan substrate (src/scheduler/scan_source.h), all run the same
 // pass: stream unordered edges, shuffle each loaded stretch by source
 // partition, append the chunks to per-partition files, and optionally tally
 // destination/local edges for the residency planner.
+//
+// A partitioned edge file stores the narrowest record its readers need:
+// whole 12-byte Edges when some reader reads weights (`weights`), 8-byte
+// EdgePairs otherwise (core/algorithm.h, kReadsEdgeWeight). The writer
+// (ShuffleAppendEdgeBlock), the one reader (StreamEdgeFile) and the
+// bytes-per-edge figure (EdgeRecordBytes) below are the only code that
+// knows which; every reader sees `const Edge*` chunks of the same size
+// either way.
+
+// Bytes one stored edge occupies in a partitioned edge file (and moves per
+// scan).
+inline size_t EdgeRecordBytes(bool weights) {
+  return weights ? sizeof(Edge) : sizeof(EdgePair);
+}
+
+// Edges per chunk a device edge scan hands out: one I/O unit of Edges,
+// whatever the stored record, so chunk counts, spill points and buffer
+// sizing do not depend on the format.
+inline uint64_t EdgeChunkEdges(size_t io_unit_bytes) {
+  return std::max<uint64_t>(1, io_unit_bytes / sizeof(Edge));
+}
 
 struct EdgeShuffleTallies {
   std::vector<uint64_t>* src = nullptr;    // edges by source partition
@@ -104,44 +127,54 @@ struct EdgeShuffleTallies {
 };
 
 // Shuffles `count` edges sitting at the start of `data` by source partition
-// (`scratch` must also hold `count` records) and appends each partition's
-// spans to its file. Callers guarantee no spill write owns `scratch`.
+// into `scratch` (which must also hold `count` Edges), narrowing them to
+// EdgePairs unless `weights`, and appends each partition's spans to its
+// file. Callers guarantee no spill write owns `scratch`.
 inline void ShuffleAppendEdgeBlock(ThreadPool& pool, const PartitionLayout& layout,
                                    StorageDevice& dev, const std::vector<FileId>& files,
                                    Edge* data, Edge* scratch, uint64_t count,
-                                   const EdgeShuffleTallies& tallies, size_t stage_bytes = 0) {
+                                   const EdgeShuffleTallies& tallies, bool weights,
+                                   size_t stage_bytes = 0) {
   if (count == 0) {
     return;
   }
-  auto shuffled =
-      ShuffleRecords(pool, data, scratch, count, layout.num_partitions(),
-                     layout.num_partitions(),
-                     [&layout](const Edge& e) { return layout.PartitionOf(e.src); },
-                     stage_bytes);
-  for (uint32_t p = 0; p < layout.num_partitions(); ++p) {
-    for (const auto& slice : shuffled.slices) {
-      const ChunkRef& c = slice[p];
-      if (c.count > 0) {
-        dev.Append(files[p],
-                   std::span<const std::byte>(
-                       reinterpret_cast<const std::byte*>(shuffled.data + c.begin),
-                       c.count * sizeof(Edge)));
-        if (tallies.src != nullptr) {
-          (*tallies.src)[p] += c.count;
-        }
-        // Within p's slice every edge has source partition p, so one
-        // PartitionOf per edge classifies it as local or cross-partition.
-        if (tallies.collect_dst) {
-          for (uint64_t i = 0; i < c.count; ++i) {
-            uint32_t pd = layout.PartitionOf(shuffled.data[c.begin + i].dst);
-            ++(*tallies.dst)[pd];
-            if (pd == p) {
-              ++(*tallies.local)[p];
+  auto append = [&](auto* out) {
+    using Stored = std::remove_pointer_t<decltype(out)>;
+    // Fanout K: one step (K == 1 copies), so the records land in `out`.
+    auto shuffled = ShuffleRecordsFrom(
+        pool, static_cast<const Edge*>(data), out, out, count, layout.num_partitions(),
+        layout.num_partitions(), [&layout](const auto& e) { return layout.PartitionOf(e.src); },
+        stage_bytes);
+    for (uint32_t p = 0; p < layout.num_partitions(); ++p) {
+      for (const auto& slice : shuffled.slices) {
+        const ChunkRef& c = slice[p];
+        if (c.count > 0) {
+          dev.Append(files[p],
+                     std::span<const std::byte>(
+                         reinterpret_cast<const std::byte*>(shuffled.data + c.begin),
+                         c.count * sizeof(Stored)));
+          if (tallies.src != nullptr) {
+            (*tallies.src)[p] += c.count;
+          }
+          // Within p's slice every edge has source partition p, so one
+          // PartitionOf per edge classifies it as local or cross-partition.
+          if (tallies.collect_dst) {
+            for (uint64_t i = 0; i < c.count; ++i) {
+              uint32_t pd = layout.PartitionOf(shuffled.data[c.begin + i].dst);
+              ++(*tallies.dst)[pd];
+              if (pd == p) {
+                ++(*tallies.local)[p];
+              }
             }
           }
         }
       }
     }
+  };
+  if (weights) {
+    append(scratch);
+  } else {
+    append(reinterpret_cast<EdgePair*>(scratch));
   }
 }
 
@@ -151,8 +184,8 @@ inline void PartitionEdgeFileToParts(ThreadPool& pool, const PartitionLayout& la
                                      StorageDevice& in_dev, const std::string& input_file,
                                      StorageDevice& out_dev, const std::vector<FileId>& files,
                                      Edge* fill, Edge* scratch, uint64_t capacity_bytes,
-                                     size_t io_unit_bytes,
-                                     const EdgeShuffleTallies& tallies, size_t stage_bytes = 0) {
+                                     size_t io_unit_bytes, const EdgeShuffleTallies& tallies,
+                                     bool weights, size_t stage_bytes = 0) {
   FileId input = in_dev.Open(input_file);
   size_t read_chunk =
       std::max<size_t>(sizeof(Edge), io_unit_bytes / sizeof(Edge) * sizeof(Edge));
@@ -165,7 +198,7 @@ inline void PartitionEdgeFileToParts(ThreadPool& pool, const PartitionLayout& la
     uint64_t n = chunk.size() / sizeof(Edge);
     if ((buffered + n) * sizeof(Edge) > capacity_bytes) {
       ShuffleAppendEdgeBlock(pool, layout, out_dev, files, fill, scratch, buffered, tallies,
-                             stage_bytes);
+                             weights, stage_bytes);
       buffered = 0;
     }
     std::memcpy(reinterpret_cast<std::byte*>(fill) + buffered * sizeof(Edge), chunk.data(),
@@ -173,7 +206,34 @@ inline void PartitionEdgeFileToParts(ThreadPool& pool, const PartitionLayout& la
     buffered += n;
   }
   ShuffleAppendEdgeBlock(pool, layout, out_dev, files, fill, scratch, buffered, tallies,
-                         stage_bytes);
+                         weights, stage_bytes);
+}
+
+// Streams one partitioned edge file as `const Edge*` chunks of at most
+// EdgeChunkEdges(io_unit_bytes) edges (prefetch distance 1). A pair file
+// reads 8 bytes per edge and widens each chunk in place, in the reader's
+// own buffer, with weight 0. Returns the seconds spent waiting on reads.
+template <typename F>
+double StreamEdgeFile(StorageDevice& dev, FileId file, size_t io_unit_bytes, bool weights,
+                      F&& f) {
+  const uint64_t chunk_edges = EdgeChunkEdges(io_unit_bytes);
+  const size_t record = EdgeRecordBytes(weights);
+  StreamReader reader(dev, file, chunk_edges * record, chunk_edges * sizeof(Edge));
+  for (auto chunk = reader.Next(); !chunk.empty(); chunk = reader.Next()) {
+    const uint64_t n = chunk.size() / record;
+    if (!weights) {
+      // Back to front: pair i is read before Edge i's slot, which starts at
+      // or after it, is written, and every pair before i lies below it.
+      for (uint64_t i = n; i-- > 0;) {
+        EdgePair pair;
+        std::memcpy(&pair, chunk.data() + i * sizeof(EdgePair), sizeof(pair));
+        const Edge e = ToEdge(pair);
+        std::memcpy(chunk.data() + i * sizeof(Edge), &e, sizeof(e));
+      }
+    }
+    f(reinterpret_cast<const Edge*>(chunk.data()), n);
+  }
+  return reader.wait_seconds();
 }
 
 // ---------------------------------------------------------------------------
@@ -203,9 +263,12 @@ class PinnedEdgeCache {
  public:
   /// `chunk_edges` is the granularity served back to readers — pass the
   /// same io-unit-derived chunk size the device reader uses, so cached and
-  /// streamed scans deliver identically shaped chunks.
-  PinnedEdgeCache(uint32_t num_partitions, uint64_t chunk_edges)
+  /// streamed scans deliver identically shaped chunks. `stored_edge_bytes`
+  /// is what the edge file spends per edge (EdgeRecordBytes): a served edge
+  /// saves that many device bytes, while the cache itself holds whole Edges.
+  PinnedEdgeCache(uint32_t num_partitions, uint64_t chunk_edges, size_t stored_edge_bytes)
       : chunk_edges_(std::max<uint64_t>(1, chunk_edges)),
+        stored_edge_bytes_(stored_edge_bytes),
         parts_(num_partitions),
         hits_(&obs::MetricsRegistry::Global().counter("edge_cache.hits")),
         served_bytes_counter_(
@@ -249,8 +312,8 @@ class PinnedEdgeCache {
   /// capture exists; otherwise, when some consumer requested p, invokes
   /// `stream(consumer)` — the caller's device scan — capturing each chunk
   /// as it passes through and sealing at the end; otherwise kMiss and the
-  /// caller streams normally. `*bytes_served` receives the RAM-served
-  /// bytes (kServed only), for avoided-read accounting.
+  /// caller streams normally. `*bytes_served` receives the edge-device
+  /// bytes the serve avoided (kServed only), for avoided-read accounting.
   template <typename F>
   ServeResult ServeOrCapture(uint32_t p, F&& f,
                              const std::function<void(const ChunkConsumer&)>& stream,
@@ -272,7 +335,7 @@ class PinnedEdgeCache {
 
   /// Serves partition p's chunks from RAM if a complete capture exists.
   /// Returns false (touching nothing) otherwise. `*bytes_served` (optional)
-  /// receives the bytes delivered, so callers can account avoided reads.
+  /// receives the edge-device bytes avoided, for avoided-read accounting.
   template <typename F>
   bool TryServe(uint32_t p, F&& f, uint64_t* bytes_served = nullptr) {
     Part& part = parts_[p];
@@ -283,7 +346,7 @@ class PinnedEdgeCache {
     for (uint64_t i = 0; i < edges.size(); i += chunk_edges_) {
       f(edges.data() + i, std::min<uint64_t>(chunk_edges_, edges.size() - i));
     }
-    uint64_t bytes = edges.size() * sizeof(Edge);
+    uint64_t bytes = edges.size() * stored_edge_bytes_;
     served_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     hits_->Add();
     served_bytes_counter_->Add(bytes);
@@ -322,7 +385,7 @@ class PinnedEdgeCache {
 
   /// Bytes currently held by sealed captures (the pinned_edge_bytes gauge).
   uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-  /// Cumulative edge bytes served from RAM instead of the edge device.
+  /// Cumulative edge-device bytes the cache's serves avoided reading.
   uint64_t served_bytes() const { return served_bytes_.load(std::memory_order_relaxed); }
 
  private:
@@ -333,6 +396,7 @@ class PinnedEdgeCache {
   };
 
   uint64_t chunk_edges_;
+  size_t stored_edge_bytes_;
   mutable std::mutex mu_;
   std::deque<Part> parts_;  // deque: Part holds an atomic, so no moves
   std::atomic<uint64_t> bytes_{0};
@@ -343,11 +407,39 @@ class PinnedEdgeCache {
   obs::Gauge* pinned_gauge_;
 };
 
+// Shuffles `edges` by source partition straight into `*records`, a fresh
+// buffer of one `Record` (EdgePair or Edge) per edge; a multi-stage shuffle
+// borrows a second such buffer for the setup only. Returns the per-slice,
+// per-partition chunks, which index the buffer left in `*records`.
+template <typename Record>
+ShuffleOutput<Record> PartitionEdgeList(ThreadPool& pool, const PartitionLayout& layout,
+                                        uint32_t shuffle_fanout, const EdgeList& edges,
+                                        StreamBuffer* records) {
+  const size_t capacity = std::max<size_t>(1, edges.size()) * sizeof(Record);
+  *records = StreamBuffer(capacity);
+  StreamBuffer scratch;
+  if (ShuffleStages(layout.num_partitions(), shuffle_fanout) > 1) {
+    scratch = StreamBuffer(capacity);
+  }
+  obs::TraceSpan span("setup", "setup");
+  ShuffleOutput<Record> chunks = ShuffleRecordsFrom(
+      pool, edges.data(), scratch.template records<Record>(),
+      records->template records<Record>(), edges.size(), layout.num_partitions(),
+      shuffle_fanout, [&layout](const auto& e) { return layout.PartitionOf(e.src); });
+  if (chunks.data == scratch.template records<Record>()) {
+    // An even number of steps ends in the scratch buffer; keep that one. The
+    // move transfers the allocation, so chunks.data stays valid.
+    *records = std::move(scratch);
+  }
+  return chunks;
+}
+
 // Partitioned in-RAM edges shared by several MemoryStreamStores (the
 // scheduler's memory-engine scan sharing): the setup shuffle runs once and
 // every job's store references the same chunk array instead of copying it.
+// Any job may read weights, so the chunks hold whole Edges.
 struct SharedEdgeChunks {
-  StreamBuffer buffer;         // the buffer the shuffled edges ended up in
+  StreamBuffer buffer;         // the shuffled edges
   ShuffleOutput<Edge> chunks;  // per-slice, per-partition index into it
   uint64_t num_edges = 0;
   uint32_t shuffle_fanout = 2;  // the §4.2 fanout attached stores shuffle with
@@ -359,22 +451,7 @@ inline std::shared_ptr<const SharedEdgeChunks> MakeSharedEdgeChunks(
   auto shared = std::make_shared<SharedEdgeChunks>();
   shared->num_edges = edges.size();
   shared->shuffle_fanout = shuffle_fanout;
-  size_t capacity = std::max<size_t>(1, edges.size()) * sizeof(Edge);
-  shared->buffer = StreamBuffer(capacity);
-  StreamBuffer scratch(capacity);
-  if (!edges.empty()) {
-    std::memcpy(shared->buffer.data(), edges.data(), edges.size() * sizeof(Edge));
-  }
-  obs::TraceSpan span("setup", "setup");
-  shared->chunks = ShuffleRecords(pool, shared->buffer.records<Edge>(),
-                                  scratch.records<Edge>(), edges.size(),
-                                  layout.num_partitions(), shuffle_fanout,
-                                  [&layout](const Edge& e) { return layout.PartitionOf(e.src); });
-  if (shared->chunks.data == scratch.records<Edge>()) {
-    // The shuffle may land in either buffer; keep the resting one. The move
-    // transfers the allocation, so chunks.data stays valid.
-    shared->buffer = std::move(scratch);
-  }
+  shared->chunks = PartitionEdgeList<Edge>(pool, layout, shuffle_fanout, edges, &shared->buffer);
   return shared;
 }
 
@@ -382,48 +459,44 @@ inline std::shared_ptr<const SharedEdgeChunks> MakeSharedEdgeChunks(
 // MemoryStreamStore: chunked in-RAM edge/update streams (paper §4).
 //
 // The edges sit in one stream buffer, shuffled into per-partition chunks at
-// setup. Scatter appends updates into a second buffer, sized for the worst
-// case (one update per edge), through per-thread blocks that each hold one
-// destination bucket (BucketedAppender). When the partition count is at
-// most the shuffle fanout the buckets are the partitions and gather reads
-// the update buffer in place. Otherwise the buckets are the first level of
-// the §4.2 shuffle tree, and the remaining levels need a third buffer as
-// shuffle scratch, which only then is allocated.
+// setup — as 8-byte EdgePairs when the algorithm never reads weights
+// (StoredEdge), whole Edges otherwise. Scatter appends updates into a
+// second buffer, sized for the worst case (one update per edge), through
+// per-thread blocks that each hold one destination bucket
+// (BucketedAppender). When the partition count is at most the shuffle
+// fanout the buckets are the partitions and gather reads the update buffer
+// in place. Otherwise the buckets are the first level of the §4.2 shuffle
+// tree, and the remaining levels need a third buffer as shuffle scratch,
+// which only then is allocated.
 template <EdgeCentricAlgorithm Algo>
 class MemoryStreamStore {
  public:
   using VertexState = typename Algo::VertexState;
   using Update = typename Algo::Update;
+  // What a solo store keeps per edge; shared-edges stores read the scan
+  // source's Edges.
+  using EdgeRecord = StoredEdge<Algo>;
   // Partitions are cache-sized and many: scatter/gather parallelize across
   // partitions with work stealing (§4.1).
   static constexpr bool kPartitionParallel = true;
 
-  // Loads the unordered edges into buffer 0 and shuffles them into
-  // per-partition chunks; this replaces the sort+index pre-processing of
-  // traditional engines and is charged to setup time by the engine facade.
+  // Shuffles the unordered edges straight from `edges` into per-partition
+  // chunks; this replaces the sort+index pre-processing of traditional
+  // engines and is charged to setup time by the engine facade.
   MemoryStreamStore(ThreadPool& pool, PartitionLayout layout, uint32_t shuffle_fanout,
                     const EdgeList& edges)
       : pool_(pool), layout_(std::move(layout)), shuffle_fanout_(shuffle_fanout) {
-    size_t record = std::max(sizeof(Edge), sizeof(Update));
-    size_t capacity = std::max<size_t>(1, edges.size()) * record;
-    buffers_[0] = StreamBuffer(capacity);
-    buffers_[1] = StreamBuffer(capacity);
-    if (!edges.empty()) {
-      std::memcpy(buffers_[0].data(), edges.data(), edges.size() * sizeof(Edge));
-    }
-    obs::TraceSpan span("setup", "setup");
-    edge_chunks_ = ShuffleRecords(pool_, buffers_[0].template records<Edge>(),
-                                  buffers_[1].template records<Edge>(), edges.size(),
-                                  layout_.num_partitions(), shuffle_fanout,
-                                  [this](const Edge& e) { return layout_.PartitionOf(e.src); });
-    // Whichever buffer the edges landed in becomes the stable edge buffer;
-    // the other collects updates.
-    if (edge_chunks_.data == buffers_[0].template records<Edge>()) {
-      update_buf_ = &buffers_[1];
-    } else {
-      update_buf_ = &buffers_[0];
-    }
-    AllocateScratch(edges.size(), &buffers_[2]);
+    edge_chunks_ =
+        PartitionEdgeList<EdgeRecord>(pool_, layout_, shuffle_fanout_, edges, &edge_buf_);
+    AllocateUpdateBuffers(edges.size());
+    // The setup shuffle never writes the update buffer, so the first scatter
+    // would fault it in page by page, on the solve's critical path; fault it
+    // in here, from every thread, as part of setup.
+    std::byte* updates = update_buf_.data();
+    pool_.ParallelFor(0, update_buf_.capacity_bytes(), 1 << 20,
+                      [updates](uint64_t lo, uint64_t hi) {
+                        std::memset(updates + lo, 0, hi - lo);
+                      });
     states_.resize(layout_.num_vertices());
   }
 
@@ -435,11 +508,8 @@ class MemoryStreamStore {
                     std::shared_ptr<const SharedEdgeChunks> shared_edges)
       : pool_(pool), layout_(std::move(layout)), shared_edges_(std::move(shared_edges)) {
     XS_CHECK(shared_edges_ != nullptr);
-    edge_chunks_ = shared_edges_->chunks;
     shuffle_fanout_ = shared_edges_->shuffle_fanout;
-    buffers_[0] = StreamBuffer(std::max<uint64_t>(1, shared_edges_->num_edges) * sizeof(Update));
-    update_buf_ = &buffers_[0];
-    AllocateScratch(shared_edges_->num_edges, &buffers_[1]);
+    AllocateUpdateBuffers(shared_edges_->num_edges);
     states_.resize(layout_.num_vertices());
   }
 
@@ -447,11 +517,8 @@ class MemoryStreamStore {
   // the multi-job scheduler). Shared edge chunks are charged to their owner,
   // not to each attached store.
   uint64_t ResidentFootprintBytes() const {
-    uint64_t total = layout_.num_vertices() * sizeof(VertexState);
-    for (const auto& buf : buffers_) {
-      total += buf.capacity_bytes();
-    }
-    return total;
+    return layout_.num_vertices() * sizeof(VertexState) + edge_buf_.capacity_bytes() +
+           update_buf_.capacity_bytes() + scratch_buf_.capacity_bytes();
   }
 
   ThreadPool& pool() { return pool_; }
@@ -476,40 +543,59 @@ class MemoryStreamStore {
   void BindStats(RunStats*) {}
   void BeginIteration() {}
 
-  // Scatter inputs: the setup shuffle's per-slice, per-partition chunks.
-  const ShuffleOutput<Edge>& edge_chunks() const { return edge_chunks_; }
+  // Bytes each stored edge occupies, and so moves per scan.
+  size_t edge_record_bytes() const {
+    return shared_edges_ != nullptr ? sizeof(Edge) : sizeof(EdgeRecord);
+  }
+
+  // Scatter inputs: calls f(records, count) for each of partition p's
+  // setup-shuffle chunks, one per slice. The records are the stored ones —
+  // EdgeRecord in solo mode, the scan source's Edges in shared mode.
+  template <typename F>
+  void ForEachEdgeChunk(uint32_t p, F&& f) const {
+    auto visit = [&](const auto& chunks) {
+      for (const auto& slice : chunks.slices) {
+        const ChunkRef& c = slice[p];
+        f(chunks.data + c.begin, c.count);
+      }
+    };
+    if (shared_edges_ != nullptr) {
+      visit(shared_edges_->chunks);
+    } else {
+      visit(edge_chunks_);
+    }
+  }
 
   // Scatter output: the bucketed append target, one update per edge.
   std::span<Update> update_records() {
-    return {update_buf_->template records<Update>(),
-            update_buf_->template capacity_records<Update>()};
+    return {update_buf_.template records<Update>(),
+            update_buf_.template capacity_records<Update>()};
   }
   // Shuffle scratch for the levels below the first; null when the
   // partition count does not exceed the fanout.
   Update* scratch_records() {
-    return scratch_buf_ != nullptr ? scratch_buf_->template records<Update>() : nullptr;
+    return scratch_buf_.capacity_bytes() > 0 ? scratch_buf_.template records<Update>() : nullptr;
   }
 
  private:
-  void AllocateScratch(uint64_t num_edges, StreamBuffer* buf) {
+  void AllocateUpdateBuffers(uint64_t num_edges) {
+    const uint64_t bytes = std::max<uint64_t>(1, num_edges) * sizeof(Update);
+    update_buf_ = StreamBuffer(bytes);
     if (layout_.num_partitions() > shuffle_fanout_) {
-      *buf = StreamBuffer(std::max<uint64_t>(1, num_edges) * sizeof(Update));
-      scratch_buf_ = buf;
+      scratch_buf_ = StreamBuffer(bytes);
     }
   }
 
   ThreadPool& pool_;
   PartitionLayout layout_;
   uint32_t shuffle_fanout_ = 2;
-  // Solo mode: buffers_[0..1] hold the edges and the updates (which is
-  // which depends on where the setup shuffle landed), buffers_[2] is the
-  // optional scratch. Shared-edges mode: updates in buffers_[0], optional
-  // scratch in buffers_[1]. Unallocated buffers hold no bytes.
-  StreamBuffer buffers_[3];
-  StreamBuffer* update_buf_ = nullptr;
-  StreamBuffer* scratch_buf_ = nullptr;
+  // Solo mode: the partitioned edges. Shared-edges mode: empty, and the
+  // chunks live in shared_edges_.
+  StreamBuffer edge_buf_;
+  ShuffleOutput<EdgeRecord> edge_chunks_;
   std::shared_ptr<const SharedEdgeChunks> shared_edges_;
-  ShuffleOutput<Edge> edge_chunks_;
+  StreamBuffer update_buf_;
+  StreamBuffer scratch_buf_;  // empty unless the partitions outnumber the fanout
   std::vector<VertexState> states_;
 };
 
@@ -545,6 +631,20 @@ class MemoryStreamStore {
 // its RAM buffer and its update file. `residency_hysteresis = 0` restores
 // the stop-the-world full re-plan (the fig31 baseline).
 
+// What an attached store (scheduler jobs, src/scheduler/) learns about the
+// edge files it shares from their owner, a scan source: where they are,
+// which record they store and what the owner's setup pass counted.
+struct SharedEdgeFiles {
+  std::string prefix;  // the files are "<prefix>.edges.N"
+  bool weights = true;  // Edge records; false = EdgePair records
+  // Edges per source partition. Not owned, like the tallies below.
+  const std::vector<uint64_t>* edge_counts = nullptr;
+  // Destination/local tallies for the residency planner; null = the owner
+  // collected none, so the store cannot price pins and never pins.
+  const std::vector<uint64_t>* dst_tallies = nullptr;
+  const std::vector<uint64_t>* local_tallies = nullptr;
+};
+
 struct DeviceStoreOptions {
   // The §3.4 streaming budget: the stream buffers, plus the vertex array
   // when §3.2 optimization 1 keeps it in RAM.
@@ -563,19 +663,13 @@ struct DeviceStoreOptions {
   // Clamped to >= 2 (the gather scratch logic needs two non-fill buffers).
   int spill_queue_depth = 2;
   std::string file_prefix = "xs";
-  // Shared-scan attach mode (src/scheduler/): open the existing per-
-  // partition edge files named "<edge_file_prefix>.edges.N" instead of
-  // creating them and partitioning `input_edge_file` (ignored, may be
-  // empty). Update and vertex files are still created under file_prefix.
+  // Shared-scan attach mode (src/scheduler/): non-null = open these
+  // existing per-partition edge files instead of creating them and
+  // partitioning `input_edge_file` (ignored, may be empty), and take their
+  // counts and tallies from the owner (read once, at construction; not
+  // owned). Update and vertex files are still created under file_prefix.
   // IngestEdges is disabled — the scan source owns the edge streams.
-  bool attach_edge_files = false;
-  std::string edge_file_prefix;  // empty = file_prefix
-  // Setup-pass tallies supplied by the owner of the shared edge files
-  // (attach mode never runs its own tally pass). Not owned; read once at
-  // construction. Null = the source collected none, so the store cannot
-  // price pins and never pins.
-  const std::vector<uint64_t>* shared_dst_tallies = nullptr;
-  const std::vector<uint64_t>* shared_local_tallies = nullptr;
+  const SharedEdgeFiles* shared_edge_files = nullptr;
   // Delta+varint compression of the spilled update streams (StreamCodec,
   // --compress-updates): spills encode on the I/O thread, gathers decode
   // frame by frame. Results are bit-identical either way; only the
@@ -668,7 +762,7 @@ class DeviceStreamStore {
     // floor of twice the worst-case updates of one loaded edge chunk so a
     // single chunk's scatter output always fits.
     size_t record = std::max(sizeof(Edge), sizeof(Update));
-    uint64_t chunk_edges = std::max<uint64_t>(1, opts_.io_unit_bytes / sizeof(Edge));
+    uint64_t chunk_edges = EdgeChunkEdges(opts_.io_unit_bytes);
     uint64_t floor_bytes = 2 * chunk_edges * sizeof(Update);
     buffer_bytes_ =
         std::max<uint64_t>(static_cast<uint64_t>(opts_.io_unit_bytes) * k, floor_bytes);
@@ -682,7 +776,13 @@ class DeviceStreamStore {
     pending_write_.resize(static_cast<size_t>(spill_slots));
 
     // Create (or, in attach mode, open the scan source's) per-partition
-    // files.
+    // files. Solo stores write the record the algorithm needs; attached
+    // ones read whatever the source wrote, which must carry weights if the
+    // algorithm reads them.
+    const SharedEdgeFiles* shared = opts_.shared_edge_files;
+    edge_weights_ = shared != nullptr ? shared->weights : ReadsEdgeWeight<Algo>;
+    XS_CHECK(edge_weights_ || !ReadsEdgeWeight<Algo>)
+        << "the algorithm reads edge weights, but the shared edge files store none";
     edge_files_.resize(k);
     update_files_.resize(k);
     vertex_files_.resize(k);
@@ -690,8 +790,8 @@ class DeviceStreamStore {
     dst_edge_counts_.assign(k, 0);
     local_edge_counts_.assign(k, 0);
     for (uint32_t p = 0; p < k; ++p) {
-      edge_files_[p] = opts_.attach_edge_files ? edge_dev_.Open(EdgeFileName(p))
-                                               : edge_dev_.Create(EdgeFileName(p));
+      edge_files_[p] = shared != nullptr ? edge_dev_.Open(EdgeFileName(p))
+                                         : edge_dev_.Create(EdgeFileName(p));
       update_files_[p] = update_dev_.Create(PartFile("updates", p));
       if (!vertices_in_memory_) {
         vertex_files_[p] = vertex_dev_.Create(PartFile("vertices", p));
@@ -720,17 +820,15 @@ class DeviceStreamStore {
     // on, which includes the input-partitioning pass below (X-Stream
     // charges its own pre-processing to the run).
     CaptureDeviceBaselines();
-    if (opts_.attach_edge_files) {
-      // The scan source already partitioned the input; recover the edge
-      // counts from the file sizes and the planner tallies from the source.
-      for (uint32_t p = 0; p < k; ++p) {
-        edge_counts_[p] = edge_dev_.FileSize(edge_files_[p]) / sizeof(Edge);
+    if (shared != nullptr) {
+      // The scan source already partitioned the input and counted it.
+      XS_CHECK(shared->edge_counts != nullptr) << "attached store without edge counts";
+      edge_counts_ = *shared->edge_counts;
+      if (shared->dst_tallies != nullptr) {
+        dst_edge_counts_ = *shared->dst_tallies;
       }
-      if (opts_.shared_dst_tallies != nullptr) {
-        dst_edge_counts_ = *opts_.shared_dst_tallies;
-      }
-      if (opts_.shared_local_tallies != nullptr) {
-        local_edge_counts_ = *opts_.shared_local_tallies;
+      if (shared->local_tallies != nullptr) {
+        local_edge_counts_ = *shared->local_tallies;
       }
     } else {
       PartitionInputEdges(input_edge_file);
@@ -747,8 +845,7 @@ class DeviceStreamStore {
     // from the destination tallies: the setup pass collects them whenever
     // vertices are file-resident, and an attached store has them only if its
     // scan source collected them.
-    if (vertices_in_memory_ ||
-        (opts_.attach_edge_files && opts_.shared_dst_tallies == nullptr)) {
+    if (vertices_in_memory_ || (shared != nullptr && shared->dst_tallies == nullptr)) {
       return;
     }
     planner_.emplace(opts_.pin_budget_bytes);
@@ -762,7 +859,8 @@ class DeviceStreamStore {
         "residency." + opts_.file_prefix + ".smoothed_update_bytes");
     if (opts_.pin_edges) {
       owns_edge_cache_ = opts_.shared_edge_cache == nullptr;
-      edge_cache_ = owns_edge_cache_ ? std::make_shared<PinnedEdgeCache>(k, chunk_edges)
+      edge_cache_ = owns_edge_cache_ ? std::make_shared<PinnedEdgeCache>(
+                                           k, chunk_edges, edge_record_bytes())
                                      : opts_.shared_edge_cache;
     }
     ApplyPlan(planner_->Plan(InitialPlanInputs()));
@@ -950,16 +1048,9 @@ class DeviceStreamStore {
   const std::vector<uint64_t>& dst_edge_counts() const { return dst_edge_counts_; }
   const std::vector<uint64_t>& local_edge_counts() const { return local_edge_counts_; }
 
-  // Names of the per-partition edge files, for partitioned semi-streaming
-  // runs (RunSemiStreamingPartitioned) over this store.
-  std::vector<std::string> EdgeFileNames() const {
-    std::vector<std::string> names;
-    names.reserve(layout_.num_partitions());
-    for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
-      names.push_back(EdgeFileName(p));
-    }
-    return names;
-  }
+  // Bytes each edge of this store's edge files occupies, and so moves per
+  // scan: 8 for EdgePair files, 12 for Edge files (EdgeRecordBytes).
+  size_t edge_record_bytes() const { return EdgeRecordBytes(edge_weights_); }
 
   // ---- Scatter side -------------------------------------------------------
 
@@ -990,13 +1081,14 @@ class DeviceStreamStore {
   // capture exists (no device I/O at all), capturing into the cache while
   // streaming when s is pinned with pin_edges on, and otherwise from the
   // edge file in I/O-unit chunks (prefetch distance 1 via StreamReader
-  // double-buffering).
+  // double-buffering). Either way f sees `const Edge*` chunks; EdgePair
+  // files arrive widened, with weight 0.
   template <typename F>
   void ForEachEdgeChunk(uint32_t s, F&& f) {
     if (edge_cache_ != nullptr) {
       uint64_t served = 0;
       auto stream = [&](const PinnedEdgeCache::ChunkConsumer& consumer) {
-        StreamEdgeFile(s, consumer);
+        StreamPartitionEdges(s, consumer);
       };
       switch (edge_cache_->ServeOrCapture(s, f, stream, &served)) {
         case PinnedEdgeCache::ServeResult::kServed:
@@ -1009,7 +1101,7 @@ class DeviceStreamStore {
           break;
       }
     }
-    StreamEdgeFile(s, std::forward<F>(f));
+    StreamPartitionEdges(s, std::forward<F>(f));
   }
 
   // In-memory shuffle of the filled output buffer + asynchronous appends of
@@ -1422,7 +1514,7 @@ class DeviceStreamStore {
   // path): each batch goes through the same in-memory shuffle and is
   // appended to the per-partition edge files.
   void IngestEdges(const EdgeList& batch) {
-    XS_CHECK(!opts_.attach_edge_files)
+    XS_CHECK(opts_.shared_edge_files == nullptr)
         << "attached stores share their edge files with a scan source; ingest "
            "through the source instead";
     for (const Edge& e : batch) {
@@ -1473,20 +1565,17 @@ class DeviceStreamStore {
   // Edge files may belong to a shared scan source (attach mode), in which
   // case they carry the source's prefix rather than this store's.
   std::string EdgeFileName(uint32_t p) const {
-    const std::string& prefix =
-        opts_.edge_file_prefix.empty() ? opts_.file_prefix : opts_.edge_file_prefix;
-    return prefix + ".edges." + std::to_string(p);
+    const SharedEdgeFiles* shared = opts_.shared_edge_files;
+    return (shared != nullptr ? shared->prefix : opts_.file_prefix) + ".edges." +
+           std::to_string(p);
   }
 
   template <typename F>
-  void StreamEdgeFile(uint32_t s, F&& f) {
-    uint64_t chunk_edges = std::max<uint64_t>(1, opts_.io_unit_bytes / sizeof(Edge));
-    StreamReader reader(edge_dev_, edge_files_[s], chunk_edges * sizeof(Edge));
-    for (auto chunk = reader.Next(); !chunk.empty(); chunk = reader.Next()) {
-      f(reinterpret_cast<const Edge*>(chunk.data()), chunk.size() / sizeof(Edge));
-    }
+  void StreamPartitionEdges(uint32_t s, F&& f) {
+    double waited = StreamEdgeFile(edge_dev_, edge_files_[s], opts_.io_unit_bytes,
+                                   edge_weights_, std::forward<F>(f));
     if (acct_ != nullptr) {
-      acct_->Record(obs::Phase::kScanIo, s, reader.wait_seconds());
+      acct_->Record(obs::Phase::kScanIo, s, waited);
     }
   }
 
@@ -1526,7 +1615,7 @@ class DeviceStreamStore {
     PartitionEdgeFileToParts(pool_, layout_, edge_dev_, input_edge_file, edge_dev_,
                              edge_files_, fill_.template records<Edge>(),
                              alt_[0].template records<Edge>(), buffer_bytes_,
-                             opts_.io_unit_bytes, tallies, opts_.stage_bytes);
+                             opts_.io_unit_bytes, tallies, edge_weights_, opts_.stage_bytes);
   }
 
   // Shuffles `count` edges sitting at the start of the fill buffer by source
@@ -1536,7 +1625,7 @@ class DeviceStreamStore {
     EdgeShuffleTallies tallies = SetupTallies();
     ShuffleAppendEdgeBlock(pool_, layout_, edge_dev_, edge_files_,
                            fill_.template records<Edge>(), alt_[0].template records<Edge>(),
-                           count, tallies, opts_.stage_bytes);
+                           count, tallies, edge_weights_, opts_.stage_bytes);
   }
 
   // Waits for the spill write holding `slot`'s buffer; .get() rather than
@@ -1735,6 +1824,7 @@ class DeviceStreamStore {
   uint32_t absorb_partition_ = kNoAbsorbPartition;
   bool shadow_dirty_ = false;
 
+  bool edge_weights_ = true;  // edge files hold Edges; false = EdgePairs
   std::vector<FileId> edge_files_;
   std::vector<FileId> update_files_;
   std::vector<FileId> vertex_files_;

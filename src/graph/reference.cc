@@ -273,7 +273,7 @@ bool IsMaximalIndependentSet(const EdgeList& edges, uint64_t num_vertices,
   return true;
 }
 
-double ReferenceConductance(const EdgeList& edges, uint64_t num_vertices,
+double ReferenceConductance(const EdgeList& edges, uint64_t /*num_vertices*/,
                             const std::vector<uint8_t>& side) {
   uint64_t cross = 0;
   uint64_t vol_s = 0;

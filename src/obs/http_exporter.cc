@@ -126,7 +126,7 @@ HttpResponse HealthzResponse(double uptime_seconds) {
   }
   w.EndObject();
   w.EndObject();
-  return HttpResponse{200, "application/json", w.TakeString()};
+  return HttpResponse{200, "application/json", w.TakeString(), {}};
 }
 
 // Picks `key=N` out of a raw query string; `fallback` when absent/garbled.
@@ -156,16 +156,16 @@ int QueryInt(const std::string& query, const std::string& key, int fallback) {
 HttpResponse ProfileResponse(const std::string& query) {
   CpuProfiler& prof = CpuProfiler::Global();
   if (prof.running()) {
-    return HttpResponse{200, "text/plain; charset=utf-8", prof.FoldedStacks()};
+    return HttpResponse{200, "text/plain; charset=utf-8", prof.FoldedStacks(), {}};
   }
   int seconds = std::clamp(QueryInt(query, "seconds", 1), 1, 30);
   if (!prof.Start()) {
     return HttpResponse{503, "application/json",
-                        "{\"error\":\"profiler unavailable\"}\n"};
+                        "{\"error\":\"profiler unavailable\"}\n", {}};
   }
   std::this_thread::sleep_for(std::chrono::seconds(seconds));
   prof.Stop();
-  return HttpResponse{200, "text/plain; charset=utf-8", prof.FoldedStacks()};
+  return HttpResponse{200, "text/plain; charset=utf-8", prof.FoldedStacks(), {}};
 }
 
 }  // namespace
@@ -174,14 +174,14 @@ HttpExporter::HttpExporter() {
   auto up = std::make_shared<WallTimer>();
   Handle("/metrics", [](const std::string&) {
     return HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
-                        MetricsRegistry::Global().ToPrometheus()};
+                        MetricsRegistry::Global().ToPrometheus(), {}};
   });
   Handle("/healthz", [up](const std::string&) { return HealthzResponse(up->Seconds()); });
   Handle("/trace", [](const std::string&) {
-    return HttpResponse{200, "application/json", Tracer::Global().ToChromeJson()};
+    return HttpResponse{200, "application/json", Tracer::Global().ToChromeJson(), {}};
   });
   Handle("/attribution", [](const std::string&) {
-    return HttpResponse{200, "application/json", AttributionRegistry::Global().ToJson()};
+    return HttpResponse{200, "application/json", AttributionRegistry::Global().ToJson(), {}};
   });
   Handle("/profile", [](const std::string& query) { return ProfileResponse(query); });
 }
@@ -297,14 +297,14 @@ HttpResponse HttpExporter::Dispatch(const HttpRequest& request) {
   if (handler) {
     // Exact-path handlers are the GET-only telemetry surface.
     if (request.method != "GET") {
-      return HttpResponse{405, "text/plain; charset=utf-8", "method not allowed\n"};
+      return HttpResponse{405, "text/plain; charset=utf-8", "method not allowed\n", {}};
     }
     return handler(request.query);
   }
   if (route) {
     return route(request);
   }
-  return HttpResponse{404, "text/plain; charset=utf-8", "not found\n"};
+  return HttpResponse{404, "text/plain; charset=utf-8", "not found\n", {}};
 }
 
 void HttpExporter::ServeConnection(int fd) {
@@ -345,7 +345,7 @@ void HttpExporter::ServeConnection(int fd) {
   std::string length_text = HeaderValue(headers, "Content-Length");
   if (!length_text.empty()) {
     if (length_text.find_first_not_of("0123456789") != std::string::npos) {
-      resp = HttpResponse{400, "application/json", "{\"error\":\"bad Content-Length\"}\n"};
+      resp = HttpResponse{400, "application/json", "{\"error\":\"bad Content-Length\"}\n", {}};
       dispatched = true;
     } else {
       // strtoull saturates on overflow, which the ceiling check then catches.
@@ -354,7 +354,7 @@ void HttpExporter::ServeConnection(int fd) {
         // Refuse before reading: the connection closes with the body unread,
         // which is exactly what a bounded server should do to a flood.
         resp = HttpResponse{413, "application/json",
-                            "{\"error\":\"request body too large\"}\n"};
+                            "{\"error\":\"request body too large\"}\n", {}};
         dispatched = true;
       } else {
         req.body = request.substr(header_end + 4);

@@ -151,6 +151,9 @@ std::unique_ptr<ScheduledJob> MakeDeviceJobFor(
     std::string (*summarize)(const JobOutput&), DeviceScanSource& source,
     StorageDevice& update_dev, StorageDevice& vertex_dev, const DeviceJobConfig& cfg,
     const std::string& prefix, std::shared_ptr<JobOutput> out) {
+  XS_CHECK(source.keeps_edge_weights() || !ReadsEdgeWeight<Algo>)
+      << "job '" << spec.name << "': " << spec.algo
+      << " reads edge weights, but the scan source stores none (keep_edge_weights is off)";
   auto store = std::make_unique<DeviceStreamStore<Algo>>(
       source.pool(), source.layout(), AttachedStoreOptions(source, cfg, prefix),
       source.edge_device(), update_dev, vertex_dev, std::string());
@@ -257,6 +260,17 @@ std::vector<JobSpec> ParseJobList(const std::string& comma_separated) {
   }
   XS_CHECK(!specs.empty()) << "empty job list";
   return specs;
+}
+
+bool JobsReadEdgeWeights(const std::vector<JobSpec>& specs) {
+  bool reads = false;
+  for (const JobSpec& spec : specs) {
+    DispatchAlgo(spec, 1, [&](auto algo, uint64_t, auto, auto) {
+      reads = reads || ReadsEdgeWeight<decltype(algo)>;
+      return std::unique_ptr<ScheduledJob>();
+    });
+  }
+  return reads;
 }
 
 std::unique_ptr<ScheduledJob> MakeDeviceJob(const JobSpec& spec, DeviceScanSource& source,

@@ -37,6 +37,11 @@ JobSpec ParseJobSpec(const std::string& spec);
 std::vector<JobSpec> ParseJobList(const std::string& comma_separated);
 const std::vector<std::string>& KnownJobAlgorithms();
 
+// Whether any of the jobs' algorithms reads edge weights (ReadsEdgeWeight):
+// a DeviceScanSource built only for these jobs may turn keep_edge_weights
+// off when none does.
+bool JobsReadEdgeWeights(const std::vector<JobSpec>& specs);
+
 // Where a finalized job delivers its results. per_vertex is indexed by
 // original vertex id; the value is the algorithm's principal output (WCC
 // label, BFS level, PageRank rank, SSSP distance, SpMV y).
@@ -79,7 +84,8 @@ struct DeviceJobConfig {
 
 // Builds a job whose DeviceStreamStore attaches to the scan source's edge
 // files; update and vertex files are created on the given devices under
-// `file_prefix`.
+// `file_prefix`. Aborts if the job reads edge weights and the source stores
+// none.
 std::unique_ptr<ScheduledJob> MakeDeviceJob(const JobSpec& spec, DeviceScanSource& source,
                                             StorageDevice& update_dev,
                                             StorageDevice& vertex_dev,

@@ -27,7 +27,15 @@ DeviceScanSource::DeviceScanSource(ThreadPool& pool, PartitionLayout layout,
   for (uint32_t p = 0; p < k; ++p) {
     edge_files_[p] = edge_dev_.Create(opts_.file_prefix + ".edges." + std::to_string(p));
   }
-  edge_cache_ = std::make_shared<PinnedEdgeCache>(k, MaxChunkEdges());
+  edge_cache_ = std::make_shared<PinnedEdgeCache>(k, MaxChunkEdges(),
+                                                  EdgeRecordBytes(opts_.keep_edge_weights));
+  shared_files_.prefix = opts_.file_prefix;
+  shared_files_.weights = opts_.keep_edge_weights;
+  shared_files_.edge_counts = &edge_counts_;
+  if (opts_.collect_dst_tallies) {
+    shared_files_.dst_tallies = &dst_edge_counts_;
+    shared_files_.local_tallies = &local_edge_counts_;
+  }
 
   uint64_t capacity = opts_.buffer_bytes > 0
                           ? opts_.buffer_bytes
@@ -44,17 +52,14 @@ DeviceScanSource::DeviceScanSource(ThreadPool& pool, PartitionLayout layout,
   tallies.collect_dst = opts_.collect_dst_tallies;
   PartitionEdgeFileToParts(pool_, layout_, edge_dev_, input_edge_file, edge_dev_,
                            edge_files_, fill.records<Edge>(), scratch.records<Edge>(),
-                           capacity, opts_.io_unit_bytes, tallies);
+                           capacity, opts_.io_unit_bytes, tallies, opts_.keep_edge_weights);
 }
 
 void DeviceScanSource::StreamPartition(uint32_t s,
                                        const std::function<void(const Edge*, uint64_t)>& f) {
-  uint64_t chunk_edges = std::max<uint64_t>(1, opts_.io_unit_bytes / sizeof(Edge));
-  StreamReader reader(edge_dev_, edge_files_[s], chunk_edges * sizeof(Edge));
-  for (auto chunk = reader.Next(); !chunk.empty(); chunk = reader.Next()) {
-    f(reinterpret_cast<const Edge*>(chunk.data()), chunk.size() / sizeof(Edge));
-  }
-  acct_.Record(obs::Phase::kScanIo, s, reader.wait_seconds());
+  acct_.Record(obs::Phase::kScanIo, s,
+               StreamEdgeFile(edge_dev_, edge_files_[s], opts_.io_unit_bytes,
+                              opts_.keep_edge_weights, f));
 }
 
 void DeviceScanSource::ForEachEdgeChunk(uint32_t s,
@@ -71,7 +76,7 @@ void DeviceScanSource::ForEachEdgeChunk(uint32_t s,
 }
 
 uint64_t DeviceScanSource::PartitionEdgeBytes(uint32_t s) const {
-  return edge_counts_[s] * sizeof(Edge);
+  return edge_counts_[s] * EdgeRecordBytes(opts_.keep_edge_weights);
 }
 
 MemoryScanSource::MemoryScanSource(ThreadPool& pool, PartitionLayout layout,

@@ -8,7 +8,7 @@
 // per-partition edge files of the device path, or the shuffled in-RAM chunk
 // array of the memory path — and the JobScheduler (scheduler.h) streams it
 // once per round on behalf of every active job. Per-job stores *attach* to
-// the source (DeviceStoreOptions::attach_edge_files, MemoryStreamStore's
+// the source (DeviceStoreOptions::shared_edge_files, MemoryStreamStore's
 // SharedEdgeChunks constructor) instead of partitioning the input
 // themselves, so both the setup pass and the per-iteration scans are shared.
 #ifndef XSTREAM_SCHEDULER_SCAN_SOURCE_H_
@@ -43,7 +43,8 @@ class ScanSource {
   virtual void ForEachEdgeChunk(uint32_t s,
                                 const std::function<void(const Edge*, uint64_t)>& f) = 0;
 
-  // Bytes one pass over partition s's edge stream moves (scan accounting).
+  // Bytes one pass over partition s's edge stream moves (scan accounting),
+  // at the size of the record the source stores.
   virtual uint64_t PartitionEdgeBytes(uint32_t s) const = 0;
 
   // Upper bound on the edges one ForEachEdgeChunk callback delivers. Job
@@ -65,7 +66,10 @@ class ScanSource {
 // Device-backed scan source: partitions the unordered input file into
 // per-partition edge files once — the same setup pass a DeviceStreamStore
 // runs, including the residency planner's destination tallies — and streams
-// them with the same double-buffered chunked reader.
+// them with the same double-buffered chunked reader. The files store whole
+// Edges unless the owner declares that no job it will run reads weights
+// (Options::keep_edge_weights), in which case they store 8-byte EdgePairs
+// and every scan moves a third fewer bytes.
 class DeviceScanSource : public ScanSource {
  public:
   struct Options {
@@ -78,6 +82,11 @@ class DeviceScanSource : public ScanSource {
     // edge) so attached jobs with file-resident vertices can price pins
     // without their own pass. Without them, attached jobs never pin.
     bool collect_dst_tallies = true;
+    // Store edge weights. Only an owner that knows every job it will run
+    // may turn this off — when none reads weights (ReadsEdgeWeight; see
+    // JobsReadEdgeWeights in algo_jobs.h). Attaching a weight-reading job
+    // to a source without weights aborts.
+    bool keep_edge_weights = true;
   };
 
   DeviceScanSource(ThreadPool& pool, PartitionLayout layout, const Options& opts,
@@ -88,12 +97,11 @@ class DeviceScanSource : public ScanSource {
   void ForEachEdgeChunk(uint32_t s,
                         const std::function<void(const Edge*, uint64_t)>& f) override;
   uint64_t PartitionEdgeBytes(uint32_t s) const override;
-  uint64_t MaxChunkEdges() const override {
-    return std::max<uint64_t>(1, opts_.io_unit_bytes / sizeof(Edge));
-  }
+  uint64_t MaxChunkEdges() const override { return EdgeChunkEdges(opts_.io_unit_bytes); }
 
   StorageDevice& edge_device() { return edge_dev_; }
   const std::string& file_prefix() const { return opts_.file_prefix; }
+  bool keeps_edge_weights() const { return opts_.keep_edge_weights; }
   const std::vector<uint64_t>& edge_counts() const { return edge_counts_; }
   const std::vector<uint64_t>& dst_edge_counts() const { return dst_edge_counts_; }
   const std::vector<uint64_t>& local_edge_counts() const { return local_edge_counts_; }
@@ -110,19 +118,16 @@ class DeviceScanSource : public ScanSource {
   uint64_t PinnedResidentBytes() const override { return edge_cache_->bytes(); }
   uint64_t EdgeReadsAvoidedBytes() const override { return edge_cache_->served_bytes(); }
 
-  // Fills the attach-mode fields of a job store's options so it opens this
-  // source's edge files instead of partitioning its own, and hands over the
-  // setup tallies when they were collected.
+  // Points a job store's options at this source's edge files, so it opens
+  // them instead of partitioning its own, with their record, counts and
+  // (when collected) setup tallies.
   void ConfigureAttachedStore(DeviceStoreOptions& opts) const {
-    opts.attach_edge_files = true;
-    opts.edge_file_prefix = opts_.file_prefix;
-    if (opts_.collect_dst_tallies) {
-      opts.shared_dst_tallies = &dst_edge_counts_;
-      opts.shared_local_tallies = &local_edge_counts_;
-    }
+    opts.shared_edge_files = &shared_files_;
   }
 
  private:
+  void StreamPartition(uint32_t s, const std::function<void(const Edge*, uint64_t)>& f);
+
   ThreadPool& pool_;
   PartitionLayout layout_;
   Options opts_;
@@ -130,9 +135,8 @@ class DeviceScanSource : public ScanSource {
   std::vector<FileId> edge_files_;
   std::vector<uint64_t> edge_counts_;
   std::vector<uint64_t> dst_edge_counts_;
-  void StreamPartition(uint32_t s, const std::function<void(const Edge*, uint64_t)>& f);
-
   std::vector<uint64_t> local_edge_counts_;
+  SharedEdgeFiles shared_files_;  // what attached stores are told
   std::shared_ptr<PinnedEdgeCache> edge_cache_;  // never null; empty until requested
   // Shared-scan read stalls, attributed under the source's file prefix
   // ("scan" by default). Job drivers never see this wait — the scheduler

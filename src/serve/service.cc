@@ -24,7 +24,7 @@ obs::HttpResponse JsonError(int status, const std::string& message,
   w.BeginObject();
   w.Field("error", std::string_view(message));
   w.EndObject();
-  obs::HttpResponse resp{status, "application/json", w.TakeString() + "\n"};
+  obs::HttpResponse resp{status, "application/json", w.TakeString() + "\n", {}};
   if (retry_after != nullptr) {
     resp.headers.emplace_back("Retry-After", retry_after);
   }
@@ -140,6 +140,9 @@ void GraphService::Mount(GraphSpec spec) {
     sopts.file_prefix = spec.name + ".scan";
     // Only hybrid jobs pin, and pins are priced from these tallies.
     sopts.collect_dst_tallies = opts_.engine == "hybrid";
+    // Any algorithm may arrive later, SSSP included, so the edge files keep
+    // their weights.
+    sopts.keep_edge_weights = true;
     ctx->source = std::make_unique<DeviceScanSource>(pool_, ctx->layout, sopts, *ctx->disk,
                                                      edge_file);
   }
@@ -275,7 +278,7 @@ obs::HttpResponse GraphService::HandleJobs(const obs::HttpRequest& request) {
         w.EndObject();
       }
       w.EndArray();
-      return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+      return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
     }
     return JsonError(405, "use POST to submit or GET to list");
   }
@@ -309,7 +312,7 @@ obs::HttpResponse GraphService::HandleJobs(const obs::HttpRequest& request) {
     w.Field("id", id);
     w.Field("state", "cancelling");
     w.EndObject();
-    return obs::HttpResponse{202, "application/json", w.TakeString() + "\n"};
+    return obs::HttpResponse{202, "application/json", w.TakeString() + "\n", {}};
   }
   if (request.method != "GET") {
     return JsonError(405, "use GET (or DELETE on the job itself)");
@@ -391,7 +394,7 @@ obs::HttpResponse GraphService::SubmitJob(const obs::HttpRequest& request) {
   w.Field("tenant", std::string_view(tenant));
   w.Field("state", std::string_view(JobStateName(JobState::kQueued)));
   w.EndObject();
-  obs::HttpResponse resp{201, "application/json", w.TakeString() + "\n"};
+  obs::HttpResponse resp{201, "application/json", w.TakeString() + "\n", {}};
   resp.headers.emplace_back("Location", "/v1/jobs/" + std::to_string(id));
   return resp;
 }
@@ -415,7 +418,7 @@ obs::HttpResponse GraphService::JobStatus(const JobEntry& entry) const {
     w.Field("summary", std::string_view(entry.output->summary));
   }
   w.EndObject();
-  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
 }
 
 obs::HttpResponse GraphService::JobResult(const JobEntry& entry) const {
@@ -453,7 +456,7 @@ obs::HttpResponse GraphService::JobResult(const JobEntry& entry) const {
   }
   w.EndArray();
   w.EndObject();
-  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
 }
 
 obs::HttpResponse GraphService::ListGraphs() const {
@@ -469,7 +472,7 @@ obs::HttpResponse GraphService::ListGraphs() const {
     w.EndObject();
   }
   w.EndArray();
-  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
 }
 
 obs::HttpResponse GraphService::ListTenants() const {
@@ -492,7 +495,7 @@ obs::HttpResponse GraphService::ListTenants() const {
     }
   }
   w.EndArray();
-  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
 }
 
 }  // namespace xstream::serve

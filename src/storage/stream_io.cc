@@ -9,11 +9,12 @@
 
 namespace xstream {
 
-StreamReader::StreamReader(StorageDevice& dev, FileId file, size_t chunk_bytes)
+StreamReader::StreamReader(StorageDevice& dev, FileId file, size_t chunk_bytes,
+                           size_t buffer_bytes)
     : dev_(dev), file_(file), chunk_bytes_(chunk_bytes), file_size_(dev.FileSize(file)) {
   XS_CHECK_GT(chunk_bytes_, 0u);
-  buffers_[0] = AlignedBuffer(chunk_bytes_);
-  buffers_[1] = AlignedBuffer(chunk_bytes_);
+  buffers_[0] = AlignedBuffer(std::max(chunk_bytes_, buffer_bytes));
+  buffers_[1] = AlignedBuffer(std::max(chunk_bytes_, buffer_bytes));
 }
 
 StreamReader::~StreamReader() {
@@ -37,7 +38,7 @@ void StreamReader::Issue(int buf) {
   pending_[buf] = dev_.executor().Submit([this, offset, target] { dev_.Read(file_, offset, target); });
 }
 
-std::span<const std::byte> StreamReader::Next() {
+std::span<std::byte> StreamReader::Next() {
   if (!started_) {
     started_ = true;
     Issue(0);

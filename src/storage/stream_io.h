@@ -23,16 +23,18 @@ namespace xstream {
 
 class StreamReader {
  public:
-  // Streams `file` on `dev` from the beginning in `chunk_bytes` units.
-  StreamReader(StorageDevice& dev, FileId file, size_t chunk_bytes);
+  // Streams `file` on `dev` from the beginning in `chunk_bytes` units, into
+  // buffers of max(chunk_bytes, buffer_bytes) bytes: room past the chunk
+  // lets a caller expand a chunk in place.
+  StreamReader(StorageDevice& dev, FileId file, size_t chunk_bytes, size_t buffer_bytes = 0);
   ~StreamReader();
 
   StreamReader(const StreamReader&) = delete;
   StreamReader& operator=(const StreamReader&) = delete;
 
-  // Returns the next chunk (empty at EOF). The span is valid until the next
-  // call to Next().
-  std::span<const std::byte> Next();
+  // Returns the next chunk (empty at EOF). The span, and the rest of its
+  // buffer, belong to the caller until the next call to Next().
+  std::span<std::byte> Next();
 
   uint64_t file_size() const { return file_size_; }
 

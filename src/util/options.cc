@@ -1,10 +1,26 @@
 #include "util/options.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 
 #include "util/logging.h"
 
 namespace xstream {
+
+namespace {
+
+// Parses all of `text` as one base-10 number, or aborts naming the flag.
+template <typename T>
+T ParseWhole(const std::string& key, const std::string& text, const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  XS_CHECK(ec == std::errc() && ptr == end && !text.empty())
+      << "malformed value for --" << key << ": '" << text << "' (expected " << expected << ")";
+  return value;
+}
+
+}  // namespace
 
 Options::Options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -13,7 +29,7 @@ Options::Options(int argc, char** argv) {
     arg = arg.substr(2);
     auto eq = arg.find('=');
     if (eq == std::string::npos) {
-      values_[arg] = "1";
+      values_.insert_or_assign(std::move(arg), std::string(1, '1'));
     } else {
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }
@@ -27,17 +43,20 @@ std::string Options::GetString(const std::string& key, const std::string& def) c
 
 int64_t Options::GetInt(const std::string& key, int64_t def) const {
   auto it = values_.find(key);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 0);
+  return it == values_.end() ? def : ParseWhole<int64_t>(key, it->second, "a decimal integer");
 }
 
 uint64_t Options::GetUint(const std::string& key, uint64_t def) const {
   auto it = values_.find(key);
-  return it == values_.end() ? def : std::strtoull(it->second.c_str(), nullptr, 0);
+  // from_chars takes no sign for unsigned types, so "-1" is malformed here.
+  return it == values_.end()
+             ? def
+             : ParseWhole<uint64_t>(key, it->second, "a non-negative decimal integer");
 }
 
 double Options::GetDouble(const std::string& key, double def) const {
   auto it = values_.find(key);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  return it == values_.end() ? def : ParseWhole<double>(key, it->second, "a decimal number");
 }
 
 bool Options::GetBool(const std::string& key, bool def) const {
@@ -45,7 +64,13 @@ bool Options::GetBool(const std::string& key, bool def) const {
   if (it == values_.end()) {
     return def;
   }
-  return it->second == "1" || it->second == "true" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "1" || v == "true" || v == "yes") {
+    return true;
+  }
+  XS_CHECK(v == "0" || v == "false" || v == "no")
+      << "malformed value for --" << key << ": '" << v << "' (expected 1/0/true/false/yes/no)";
+  return false;
 }
 
 bool Options::Has(const std::string& key) const { return values_.count(key) > 0; }

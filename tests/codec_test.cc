@@ -280,8 +280,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CodecSweep,
                                             ::testing::Values(size_t{0}, size_t{1},
                                                               size_t{11}, size_t{4096})),
                          [](const auto& info) {
-                           return "f" + std::to_string(std::get<0>(info.param)) + "_w" +
-                                  std::to_string(std::get<1>(info.param));
+                           std::string name = "f";
+                           name += std::to_string(std::get<0>(info.param)) + "_w" +
+                                   std::to_string(std::get<1>(info.param));
+                           return name;
                          });
 
 }  // namespace

@@ -12,11 +12,13 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "algorithms/algorithms.h"
+#include "algorithms/kcores.h"
 #include "core/hybrid_engine.h"
 #include "core/inmem_engine.h"
 #include "core/phase_runtime.h"
@@ -29,6 +31,7 @@
 #include "storage/io_executor.h"
 #include "storage/sim_device.h"
 #include "util/env.h"
+#include "util/rng.h"
 
 namespace xstream {
 namespace {
@@ -489,9 +492,11 @@ TEST(HybridStoreTest, BudgetZeroMatchesStoreThatCannotPinBitForBit) {
   RuntimeHarness<PageRankAlgorithm> h(2);
   SimDevice dev("d", DeviceProfile::Instant());
   WriteEdgeFile(dev, "input", edges);
+  std::vector<uint64_t> edge_counts;
   auto run = [&](const DeviceStoreOptions& opts, bool can_pin, RunStats* stats) {
     DeviceStreamStore<PageRankAlgorithm> store(h.pool, layout, opts, dev, dev, dev, "input");
     EXPECT_EQ(store.CanPin(), can_pin);
+    edge_counts = store.src_edge_counts();
     StreamingPhaseDriver<PageRankAlgorithm, DeviceStreamStore<PageRankAlgorithm>> driver(
         store, {});
     PageRankAlgorithm algo(info.num_vertices, 3);
@@ -500,9 +505,15 @@ TEST(HybridStoreTest, BudgetZeroMatchesStoreThatCannotPinBitForBit) {
   };
   RunStats pinnable_stats;
   auto pinnable = run(SmallHybridOpts(0), true, &pinnable_stats);
+  // The first store's edge files: PageRank reads no weights, so they hold
+  // EdgePairs. No tallies: the attached store cannot pin.
+  SharedEdgeFiles files;
+  files.prefix = "xs";
+  files.weights = false;
+  const std::vector<uint64_t> counts = edge_counts;
+  files.edge_counts = &counts;
   DeviceStoreOptions attached = SmallHybridOpts(0);
-  attached.attach_edge_files = true;
-  attached.edge_file_prefix = "xs";  // the first store's edge files
+  attached.shared_edge_files = &files;
   attached.file_prefix = "attached";
   RunStats plain_stats;
   auto plain = run(attached, false, &plain_stats);
@@ -919,6 +930,137 @@ TEST(SelectiveSchedulingTest, SkippedPartitionsMigrateInsideTheDriverPieces) {
   EXPECT_EQ(levels(run_engine), ReferenceBfsLevels(g, 0));
   EXPECT_GT(skipped_promotions, 0u) << "no promotion landed in a skipped partition; the "
                                        "input no longer exercises the guard";
+}
+
+
+// ---- Narrow edge records ------------------------------------------------------
+
+// The same algorithm declaring that it reads edge weights, so every store
+// keeps whole 12-byte Edges for it.
+template <typename Algo>
+struct ReadWeights : Algo {
+  using Algo::Algo;
+  static constexpr bool kReadsEdgeWeight = true;
+};
+static_assert(!ReadsEdgeWeight<WccAlgorithm> && ReadsEdgeWeight<ReadWeights<WccAlgorithm>>);
+static_assert(std::is_same_v<MemoryStreamStore<BfsAlgorithm>::EdgeRecord, EdgePair>);
+
+// One weight-trait run: the algorithm's results, the record its store keeps
+// and the edge-device bytes its scans read (0 in memory).
+template <typename Values>
+struct TraitRun {
+  Values values;
+  RunStats stats;
+  size_t record_bytes = 0;
+  uint64_t scan_bytes = 0;
+};
+
+// Runs `run(engine, type_identity<A>)` -> (values, stats) on an engine of
+// `shape` (8 partitions, one thread, so floating-point sums gather in the
+// same order every run) whose edges sit on a device of their own, so the
+// bytes that device reads after setup are edge scans and nothing else.
+template <typename Algo, typename Run>
+auto RunWeightShape(Shape shape, const EdgeList& edges, uint64_t pin_budget, Run&& run) {
+  GraphInfo info = ScanEdges(edges);
+  using Values = decltype(run(std::declval<InMemoryEngine<Algo>&>(),
+                              std::type_identity<Algo>{}).first);
+  TraitRun<Values> out;
+  if (shape == Shape::kMemory) {
+    InMemoryConfig cfg;
+    cfg.threads = 1;
+    cfg.num_partitions = 8;
+    InMemoryEngine<Algo> engine(cfg, edges, info.num_vertices);
+    std::tie(out.values, out.stats) = run(engine, std::type_identity<Algo>{});
+    out.record_bytes = engine.store().edge_record_bytes();
+    return out;
+  }
+  HybridConfig cfg;
+  cfg.threads = 1;
+  cfg.io_unit_bytes = 16 * 1024;
+  cfg.num_partitions = 8;
+  cfg.allow_update_memory_opt = false;
+  cfg.memory_budget_bytes = pin_budget;
+  SimDevice edge_dev("edges", DeviceProfile::Instant());
+  SimDevice dev("d", DeviceProfile::Instant());
+  WriteEdgeFile(edge_dev, "input", edges);
+  HybridEngine<Algo> engine(cfg, edge_dev, dev, dev, "input", info);
+  const uint64_t setup_reads = edge_dev.stats().bytes_read;
+  std::tie(out.values, out.stats) = run(engine, std::type_identity<Algo>{});
+  out.record_bytes = engine.store().edge_record_bytes();
+  out.scan_bytes = edge_dev.stats().bytes_read - setup_reads;
+  return out;
+}
+
+// Runs a weight-free Algo beside its ReadWeights twin in memory, on the
+// device at pin budget 0 and hybrid at half the full pin budget, over an
+// input with random weights: the twin streams 12-byte Edges, Algo 8-byte
+// pairs that reach Scatter with weight 0. Results, iterations, update-file
+// bytes and promotions must be identical; only the edge bytes differ.
+template <typename Algo, typename Run>
+void ExpectWeightFreeTwinsAgree(const EdgeList& edges, Run&& run) {
+  static_assert(!ReadsEdgeWeight<Algo>);
+  GraphInfo info = ScanEdges(edges);
+  ThreadPool probe(1);
+  const uint64_t half_pin =
+      FullPinBytes<Algo>(probe, edges, PartitionLayout(info.num_vertices, 8)) / 2;
+  for (Shape shape : {Shape::kMemory, Shape::kDevice, Shape::kHybrid}) {
+    SCOPED_TRACE(ShapeName(shape));
+    const uint64_t budget = shape == Shape::kHybrid ? half_pin : 0;
+    auto pairs = RunWeightShape<Algo>(shape, edges, budget, run);
+    auto whole = RunWeightShape<ReadWeights<Algo>>(shape, edges, budget, run);
+    EXPECT_TRUE(pairs.values == whole.values);
+    EXPECT_EQ(pairs.stats.iterations, whole.stats.iterations);
+    EXPECT_EQ(pairs.stats.edges_streamed, whole.stats.edges_streamed);
+    EXPECT_EQ(pairs.stats.update_file_bytes, whole.stats.update_file_bytes);
+    EXPECT_EQ(pairs.stats.promotions, whole.stats.promotions);
+    EXPECT_EQ(pairs.record_bytes, sizeof(EdgePair));
+    EXPECT_EQ(whole.record_bytes, sizeof(Edge));
+    if (shape != Shape::kMemory) {
+      ASSERT_GT(pairs.stats.edges_streamed, 0u);
+      EXPECT_EQ(pairs.scan_bytes, pairs.stats.edges_streamed * sizeof(EdgePair));
+      EXPECT_EQ(whole.scan_bytes, whole.stats.edges_streamed * sizeof(Edge));
+    }
+  }
+}
+
+TEST(EdgeWeightTraitTest, WeightFreeAlgorithmsMatchTheirWeightReadingTwins) {
+  EdgeList edges = TestGraph(73, 10);
+  for (uint64_t i = 0; i < edges.size(); ++i) {
+    edges[i].weight = static_cast<float>(SplitMix64(i) >> 40) / static_cast<float>(1 << 24);
+  }
+  ExpectWeightFreeTwinsAgree<WccAlgorithm>(edges, [](auto& engine, auto algo) {
+    WccResult r = RunWcc<typename decltype(algo)::type>(engine);
+    return std::make_pair(r.labels, r.stats);
+  });
+  ExpectWeightFreeTwinsAgree<BfsAlgorithm>(edges, [](auto& engine, auto algo) {
+    BfsResult r = RunBfs<typename decltype(algo)::type>(engine, 0);
+    return std::make_pair(r.levels, r.stats);
+  });
+  ExpectWeightFreeTwinsAgree<PageRankAlgorithm>(edges, [](auto& engine, auto algo) {
+    PageRankResult r = RunPageRank<typename decltype(algo)::type>(engine, 4);
+    return std::make_pair(r.ranks, r.stats);
+  });
+  ExpectWeightFreeTwinsAgree<BpAlgorithm>(edges, [](auto& engine, auto algo) {
+    BpResult r = RunBp<typename decltype(algo)::type>(engine, 4);
+    return std::make_pair(r.belief1, r.stats);
+  });
+  ExpectWeightFreeTwinsAgree<ConductanceAlgorithm>(edges, [](auto& engine, auto algo) {
+    ConductanceResult r = RunConductance<typename decltype(algo)::type>(engine);
+    return std::make_pair(std::vector<uint64_t>{r.cross_edges, r.volume_s, r.volume_rest},
+                          r.stats);
+  });
+  ExpectWeightFreeTwinsAgree<HyperAnfAlgorithm>(edges, [](auto& engine, auto algo) {
+    HyperAnfResult r = RunHyperAnf<typename decltype(algo)::type>(engine);
+    return std::make_pair(r.neighborhood_function, r.stats);
+  });
+  ExpectWeightFreeTwinsAgree<KCoreAlgorithm>(edges, [](auto& engine, auto algo) {
+    KCoreResult r = RunKCore<typename decltype(algo)::type>(engine, 4);
+    return std::make_pair(r.in_core, r.stats);
+  });
+  ExpectWeightFreeTwinsAgree<MisAlgorithm>(edges, [](auto& engine, auto algo) {
+    MisResult r = RunMis<typename decltype(algo)::type>(engine);
+    return std::make_pair(r.in_set, r.stats);
+  });
 }
 
 }  // namespace

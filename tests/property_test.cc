@@ -157,8 +157,10 @@ INSTANTIATE_TEST_SUITE_P(
                       OocConfigCase{4, 1 << 20, true, 1}, OocConfigCase{2, 1 << 18, false, 32}),
     [](const auto& info) {
       const OocConfigCase& c = info.param;
-      return "t" + std::to_string(c.threads) + "_b" + std::to_string(c.budget >> 10) + "k_" +
-             (c.mem_opts ? "opt" : "noopt") + "_k" + std::to_string(c.partitions);
+      std::string name = "t";
+      name += std::to_string(c.threads) + "_b" + std::to_string(c.budget >> 10) + "k_" +
+              (c.mem_opts ? "opt" : "noopt") + "_k" + std::to_string(c.partitions);
+      return name;
     });
 
 class InMemConfigSweep : public ::testing::TestWithParam<std::tuple<int, uint32_t, uint32_t>> {
@@ -238,9 +240,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Values(1u, 8u, 64u),
                        ::testing::Values(2u, 8u, 1024u)),
     [](const auto& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_f" +
-             std::to_string(std::get<2>(info.param));
+      std::string name = "t";
+      name += std::to_string(std::get<0>(info.param)) + "_k" +
+              std::to_string(std::get<1>(info.param)) + "_f" +
+              std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 // ---------------------------------------------------------------- invariants

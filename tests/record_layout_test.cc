@@ -27,6 +27,33 @@ TEST(RecordLayoutTest, EdgeIsTwelvePackedBytes) {
   EXPECT_TRUE(Streamable<Edge>());
 }
 
+TEST(RecordLayoutTest, EdgePairIsEightPackedBytes) {
+  EXPECT_EQ(sizeof(EdgePair), 8u);
+  EXPECT_EQ(alignof(EdgePair), 1u);  // packed, like Edge
+  EXPECT_TRUE(Streamable<EdgePair>());
+  EdgePair pair(Edge{3, 5, 0.75f});
+  Edge widened = ToEdge(pair);
+  EXPECT_EQ(widened.src, 3u);
+  EXPECT_EQ(widened.dst, 5u);
+  EXPECT_EQ(widened.weight, 0.0f);
+}
+
+TEST(RecordLayoutTest, StoredEdgeFollowsTheWeightTrait) {
+  static_assert(std::is_same_v<StoredEdge<WccAlgorithm>, EdgePair>);
+  static_assert(std::is_same_v<StoredEdge<BfsAlgorithm>, EdgePair>);
+  static_assert(std::is_same_v<StoredEdge<PageRankAlgorithm>, EdgePair>);
+  static_assert(std::is_same_v<StoredEdge<BpAlgorithm>, EdgePair>);
+  static_assert(std::is_same_v<StoredEdge<ConductanceAlgorithm>, EdgePair>);
+  static_assert(std::is_same_v<StoredEdge<HyperAnfAlgorithm>, EdgePair>);
+  static_assert(std::is_same_v<StoredEdge<KCoreAlgorithm>, EdgePair>);
+  static_assert(std::is_same_v<StoredEdge<MisAlgorithm>, EdgePair>);
+  static_assert(std::is_same_v<StoredEdge<SsspAlgorithm>, Edge>);
+  static_assert(std::is_same_v<StoredEdge<SpmvAlgorithm>, Edge>);
+  static_assert(std::is_same_v<StoredEdge<SccAlgorithm>, Edge>);
+  static_assert(std::is_same_v<StoredEdge<McstAlgorithm>, Edge>);
+  static_assert(std::is_same_v<StoredEdge<AlsAlgorithm>, Edge>);
+}
+
 TEST(RecordLayoutTest, UpdateSizes) {
   EXPECT_EQ(sizeof(WccAlgorithm::Update), 8u);
   EXPECT_EQ(sizeof(BfsAlgorithm::Update), 8u);

@@ -21,6 +21,7 @@
 #include "algorithms/scc.h"
 #include "algorithms/sssp.h"
 #include "algorithms/wcc.h"
+#include "core/hybrid_engine.h"
 #include "core/inmem_engine.h"
 #include "graph/edge_io.h"
 #include "graph/generators.h"
@@ -49,7 +50,7 @@ EdgeList TestGraph(uint64_t seed, uint32_t scale = 9) {
 // reference oracles for the test graph.
 struct DeviceHarness {
   explicit DeviceHarness(const EdgeList& graph_edges, uint32_t partitions = 4,
-                         int threads = NumCores())
+                         int threads = NumCores(), bool keep_edge_weights = true)
       : pool(threads),
         edges(graph_edges),
         info(ScanEdges(edges)),
@@ -60,6 +61,7 @@ struct DeviceHarness {
     WriteEdgeFile(edge_dev, "input", edges);
     DeviceScanSource::Options sopts;
     sopts.io_unit_bytes = 16 * 1024;
+    sopts.keep_edge_weights = keep_edge_weights;
     source = std::make_unique<DeviceScanSource>(pool, layout, sopts, edge_dev, "input");
   }
 
@@ -325,6 +327,90 @@ TEST(SchedulerTest, SelectiveScansMatchFullScansBesidePageRank) {
   EXPECT_LT(pairs[0].with->stats.edges_streamed, pairs[0].without->stats.edges_streamed)
       << "WCC's converged partitions must drop out of the shared scans";
   EXPECT_EQ(pagerank->stats.edges_streamed, edges.size() * pagerank->stats.iterations);
+}
+
+// ---- Scan sources without edge weights ---------------------------------------
+
+TEST(SchedulerTest, SourceWithoutWeightsServesWeightFreeJobsAtEightBytesPerEdge) {
+  EdgeList edges = TestGraph(29);
+  for (uint64_t i = 0; i < edges.size(); ++i) {
+    edges[i].weight = static_cast<float>(i % 997) / 997.0f;  // a pair reads as 0
+  }
+  const std::vector<std::string> specs = {"wcc", "bfs:src=0", "pagerank:iters=4"};
+  std::vector<JobSpec> parsed;
+  for (const std::string& spec : specs) {
+    parsed.push_back(ParseJobSpec(spec));
+  }
+  ASSERT_FALSE(JobsReadEdgeWeights(parsed));
+  parsed.push_back(ParseJobSpec("sssp:src=0"));
+  EXPECT_TRUE(JobsReadEdgeWeights(parsed));
+
+  // One thread, so each job's spills, and so its results, are deterministic.
+  struct Run {
+    std::vector<std::shared_ptr<JobOutput>> outs;
+    uint64_t scan_bytes = 0;  // edge-device reads after the setup pass
+    SchedulerStats stats;
+  };
+  auto run = [&](DeviceHarness& h) {
+    Run r;
+    const uint64_t setup_reads = h.edge_dev.stats().bytes_read;
+    JobScheduler sched(*h.source);
+    for (const std::string& spec : specs) {
+      r.outs.push_back(h.Submit(sched, spec, h.SpillHeavyConfig(), nullptr));
+    }
+    sched.RunAll();
+    r.scan_bytes = h.edge_dev.stats().bytes_read - setup_reads;
+    r.stats = sched.stats();
+    return r;
+  };
+  DeviceHarness narrow(edges, 4, 1, /*keep_edge_weights=*/false);
+  DeviceHarness whole(edges, 4, 1);
+  Run pairs = run(narrow);
+  Run edges12 = run(whole);
+
+  // Solo runs: the device engine over the same layout and job settings.
+  HybridConfig solo_cfg;
+  solo_cfg.threads = 1;
+  solo_cfg.io_unit_bytes = 16 * 1024;
+  solo_cfg.num_partitions = narrow.layout.num_partitions();
+  solo_cfg.allow_update_memory_opt = false;
+  SimDevice solo_dev("solo", DeviceProfile::Instant());
+  WriteEdgeFile(solo_dev, "input", edges);
+  HybridEngine<WccAlgorithm> wcc(solo_cfg, solo_dev, solo_dev, solo_dev, "input", narrow.info);
+  std::vector<VertexId> wcc_labels = RunWcc(wcc).labels;
+  solo_cfg.file_prefix = "bfs";
+  HybridEngine<BfsAlgorithm> bfs(solo_cfg, solo_dev, solo_dev, solo_dev, "input", narrow.info);
+  std::vector<uint32_t> bfs_levels = RunBfs(bfs, 0).levels;
+  solo_cfg.file_prefix = "pagerank";
+  HybridEngine<PageRankAlgorithm> pr(solo_cfg, solo_dev, solo_dev, solo_dev, "input",
+                                     narrow.info);
+  std::vector<float> ranks = RunPageRank(pr, 4).ranks;
+  for (uint64_t v = 0; v < narrow.info.num_vertices; ++v) {
+    ASSERT_EQ(pairs.outs[0]->per_vertex[v], static_cast<double>(wcc_labels[v])) << v;
+    ASSERT_EQ(pairs.outs[1]->per_vertex[v], static_cast<double>(bfs_levels[v])) << v;
+    ASSERT_EQ(pairs.outs[2]->per_vertex[v], static_cast<double>(ranks[v])) << v;
+  }
+  for (size_t j = 0; j < specs.size(); ++j) {
+    SCOPED_TRACE(specs[j]);
+    EXPECT_TRUE(pairs.outs[j]->per_vertex == edges12.outs[j]->per_vertex);
+    EXPECT_EQ(pairs.outs[j]->stats.update_file_bytes, edges12.outs[j]->stats.update_file_bytes);
+  }
+
+  // The same scans, at 8 bytes per edge instead of 12.
+  EXPECT_EQ(pairs.stats.partition_scans, edges12.stats.partition_scans);
+  ASSERT_GT(pairs.scan_bytes, 0u);
+  EXPECT_EQ(pairs.scan_bytes * sizeof(Edge), edges12.scan_bytes * sizeof(EdgePair));
+  EXPECT_EQ(pairs.scan_bytes, pairs.stats.shared_scan_bytes);
+  EXPECT_EQ(edges12.scan_bytes, edges12.stats.shared_scan_bytes);
+  for (uint32_t p = 0; p < narrow.layout.num_partitions(); ++p) {
+    EXPECT_EQ(narrow.source->PartitionEdgeBytes(p),
+              narrow.source->edge_counts()[p] * sizeof(EdgePair));
+  }
+
+  // A job that reads weights cannot attach to a source that stores none.
+  JobScheduler sched(*narrow.source);
+  EXPECT_DEATH(narrow.Submit(sched, "sssp:src=0", narrow.SpillHeavyConfig(), nullptr),
+               "sssp reads edge weights, but the scan source stores none");
 }
 
 TEST(SchedulerTest, ConvergedJobRetiresWithoutAnEmptyCycle) {

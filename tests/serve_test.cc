@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -184,7 +185,6 @@ struct ServeHarness {
   explicit ServeHarness(serve::ServiceOptions sopts = {}, uint64_t seed = 21,
                         uint32_t scale = 9)
       : edges(TestGraph(seed, scale)) {
-    sopts.engine = "in-memory";
     sopts.threads = kThreads;
     sopts.partitions = kPartitions;
     service = std::make_unique<serve::GraphService>(std::move(sopts));
@@ -249,6 +249,37 @@ std::vector<double> SoloRun(const EdgeList& edges, const std::string& spec_text)
   JobId id = sched.Submit(MakeMemoryJob(ParseJobSpec(spec_text), source, out));
   EXPECT_TRUE(sched.Wait(id));
   return out->per_vertex;
+}
+
+// ---- Device mounts keep edge weights ----------------------------------------
+
+TEST(ServeTest, OutOfCoreMountKeepsEdgeWeightsForSssp) {
+  // A device mount's scan source must store edge weights: any algorithm may
+  // arrive, and SSSP reads them. On a source without weights this
+  // submission would abort the daemon.
+  serve::ServiceOptions sopts;
+  sopts.engine = "out-of-core";
+  ServeHarness h(std::move(sopts));
+  uint64_t id = h.Submit(R"({"graph":"g","algo":"sssp","params":{"src":0}})");
+  h.WaitState(id, "done");
+  HttpReply result = Get(h.port, "/v1/jobs/" + std::to_string(id) + "/result");
+  ASSERT_EQ(result.status, 200) << result.body;
+  JsonValue parsed = MustParse(result.body);
+  ASSERT_NE(parsed.Get("values"), nullptr) << result.body;
+  const std::vector<JsonValue>& values = parsed.Get("values")->as_array();
+  std::vector<double> solo = SoloRun(h.edges, "sssp:src=0");
+  ASSERT_EQ(values.size(), solo.size());
+  bool weighted = false;  // some distance is not a hop count
+  for (size_t v = 0; v < solo.size(); ++v) {
+    const double got = ResultValue(values[v]);
+    if (std::isinf(solo[v])) {
+      EXPECT_TRUE(std::isinf(got)) << "vertex " << v;
+      continue;
+    }
+    EXPECT_NEAR(got, solo[v], 1e-5 * solo[v] + 1e-6) << "vertex " << v;
+    weighted = weighted || solo[v] != std::floor(solo[v]);
+  }
+  EXPECT_TRUE(weighted) << "the test graph lost its weights";
 }
 
 // ---- End-to-end: every algorithm, bit-identical to a solo run ---------------

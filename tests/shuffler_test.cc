@@ -109,9 +109,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Values(1u, 2u, 8u, 32u, 128u),
                        ::testing::Values(2u, 4u, 16u, 1024u)),
     [](const auto& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_p" +
-             std::to_string(std::get<1>(info.param)) + "_f" +
-             std::to_string(std::get<2>(info.param));
+      std::string name = "t";
+      name += std::to_string(std::get<0>(info.param)) + "_p" +
+              std::to_string(std::get<1>(info.param)) + "_f" +
+              std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 // The cache-aware staged shuffle (--stage-bytes) replaces the fused counting
@@ -188,9 +190,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Values(1u, 2u, 8u, 32u, 128u),
                        ::testing::Values(size_t{256}, size_t{16} << 10, size_t{1} << 20)),
     [](const auto& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_p" +
-             std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
+      std::string name = "t";
+      name += std::to_string(std::get<0>(info.param)) + "_p" +
+              std::to_string(std::get<1>(info.param)) + "_s" +
+              std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 TEST(ShufflerTest, StageCountMatchesCeilLogFanout) {
@@ -235,6 +239,70 @@ TEST(ShuffleLevelsTest, OneLevelBelowBucketedTop) { CheckBucketedThenLevels(4, 1
 TEST(ShuffleLevelsTest, ManyLevelsBelowBucketedTop) {
   CheckBucketedThenLevels(1, 5000, 256, 2, 32);  // 7 levels after scatter
   CheckBucketedThenLevels(3, 8000, 1024, 8, 33);
+}
+
+// ShuffleRecordsFrom reads a wider record than it writes (the stores'
+// Edge -> EdgePair setup shuffles): the narrow output must sit exactly where
+// ShuffleRecords puts the wide records, on every path — legacy and staged
+// single stage, multi-stage, one partition — and the input stays untouched.
+struct Wide {
+  uint32_t key;
+  uint32_t payload;
+  float dropped;
+};
+struct Narrow {
+  uint32_t key = 0;
+  uint32_t payload = 0;
+  Narrow() = default;
+  explicit Narrow(const Wide& w) : key(w.key), payload(w.payload) {}
+};
+
+void CheckNarrowingShuffle(int threads, uint64_t count, uint32_t partitions, uint32_t fanout,
+                           size_t stage_bytes, uint64_t seed) {
+  SCOPED_TRACE("threads=" + std::to_string(threads) + " partitions=" +
+               std::to_string(partitions) + " fanout=" + std::to_string(fanout) +
+               " stage_bytes=" + std::to_string(stage_bytes));
+  ThreadPool pool(threads);
+  std::vector<Wide> input(count);
+  for (const Rec& r : MakeRecords(count, partitions, seed)) {
+    input[r.payload] = Wide{r.key, r.payload, 0.5f};
+  }
+  const std::vector<Wide> original = input;
+  auto part_of = [](const auto& r) { return r.key; };
+
+  std::vector<Wide> wa = input, wb(count + 1);
+  wa.resize(count + 1);
+  auto wide = ShuffleRecords(pool, wa.data(), wb.data(), count, partitions, fanout, part_of,
+                             stage_bytes);
+  std::vector<Narrow> na(count + 1), nb(count + 1);
+  auto narrow = ShuffleRecordsFrom(pool, input.data(), na.data(), nb.data(), count, partitions,
+                                   fanout, part_of, stage_bytes);
+
+  EXPECT_TRUE(std::equal(input.begin(), input.end(), original.begin(),
+                         [](const Wide& x, const Wide& y) { return x.payload == y.payload; }));
+  ASSERT_EQ(narrow.stages_run, wide.stages_run);
+  ASSERT_EQ(narrow.slices.size(), wide.slices.size());
+  for (size_t s = 0; s < wide.slices.size(); ++s) {
+    for (uint32_t p = 0; p < partitions; ++p) {
+      const ChunkRef& c = wide.slices[s][p];
+      ASSERT_EQ(narrow.slices[s][p].begin, c.begin);
+      ASSERT_EQ(narrow.slices[s][p].count, c.count);
+      for (uint64_t i = c.begin; i < c.begin + c.count; ++i) {
+        ASSERT_EQ(narrow.data[i].key, wide.data[i].key) << "record " << i;
+        ASSERT_EQ(narrow.data[i].payload, wide.data[i].payload) << "record " << i;
+      }
+    }
+  }
+}
+
+TEST(ShuffleFromTest, NarrowingShuffleMatchesTheWideShuffle) {
+  CheckNarrowingShuffle(1, 3000, 13, 16, 0, 41);         // legacy single stage
+  CheckNarrowingShuffle(4, 10000, 13, 16, 0, 42);
+  CheckNarrowingShuffle(4, 10000, 13, 16, 32 << 10, 43);  // staged single stage
+  CheckNarrowingShuffle(4, 10000, 64, 4, 0, 44);          // three stages
+  CheckNarrowingShuffle(2, 10000, 16, 4, 0, 45);          // two stages
+  CheckNarrowingShuffle(3, 500, 1, 2, 0, 46);             // one partition: a copy
+  CheckNarrowingShuffle(2, 0, 8, 8, 0, 47);               // empty
 }
 
 TEST(CeilLog2Test, Values) {

@@ -126,6 +126,52 @@ TEST(OptionsTest, TypedAccessors) {
   EXPECT_FALSE(opts.Has("y"));
 }
 
+TEST(OptionsTest, NumbersAreWholeBaseTenValues) {
+  Options opts;
+  opts.Set("unit", "064");
+  opts.Set("neg", "-3");
+  opts.Set("frac", "0.25");
+  EXPECT_EQ(opts.GetUint("unit", 0), 64u);  // not octal
+  EXPECT_EQ(opts.GetInt("unit", 0), 64);
+  EXPECT_EQ(opts.GetInt("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(opts.GetDouble("frac", 0.0), 0.25);
+}
+
+TEST(OptionsTest, MalformedNumbersAbortNamingTheFlag) {
+  Options opts;
+  opts.Set("scale", "abc");
+  opts.Set("trailing", "10x");
+  opts.Set("empty", "");
+  opts.Set("iterations", "-1");
+  opts.Set("plus", "+5");
+  opts.Set("hex", "0x10");
+  opts.Set("ratio", "0.5q");
+  EXPECT_DEATH(opts.GetUint("scale", 0), "--scale: 'abc'");
+  EXPECT_DEATH(opts.GetInt("scale", 0), "--scale: 'abc'");
+  EXPECT_DEATH(opts.GetUint("trailing", 0), "--trailing: '10x'");
+  EXPECT_DEATH(opts.GetInt("empty", 0), "--empty: ''");
+  EXPECT_DEATH(opts.GetUint("iterations", 0), "--iterations: '-1'");
+  EXPECT_DEATH(opts.GetUint("plus", 0), "--plus: '\\+5'");
+  EXPECT_DEATH(opts.GetInt("hex", 0), "--hex: '0x10'");
+  EXPECT_DEATH(opts.GetDouble("ratio", 0.0), "--ratio: '0.5q'");
+}
+
+TEST(OptionsTest, BoolsAcceptOnlyKnownSpellings) {
+  Options opts;
+  for (const char* yes : {"1", "true", "yes"}) {
+    opts.Set("b", yes);
+    EXPECT_TRUE(opts.GetBool("b", false)) << yes;
+  }
+  for (const char* no : {"0", "false", "no"}) {
+    opts.Set("b", no);
+    EXPECT_FALSE(opts.GetBool("b", true)) << no;
+  }
+  opts.Set("b", "ture");
+  EXPECT_DEATH(opts.GetBool("b", false), "--b: 'ture'");
+  opts.Set("b", "");
+  EXPECT_DEATH(opts.GetBool("b", false), "--b: ''");
+}
+
 TEST(RunningStatTest, MeanAndStdDev) {
   RunningStat s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
