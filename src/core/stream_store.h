@@ -132,7 +132,7 @@ struct EdgeShuffleTallies {
 // file. Callers guarantee no spill write owns `scratch`.
 inline void ShuffleAppendEdgeBlock(ThreadPool& pool, const PartitionLayout& layout,
                                    StorageDevice& dev, const std::vector<FileId>& files,
-                                   Edge* data, Edge* scratch, uint64_t count,
+                                   const Edge* data, Edge* scratch, uint64_t count,
                                    const EdgeShuffleTallies& tallies, bool weights,
                                    size_t stage_bytes = 0) {
   if (count == 0) {
@@ -142,9 +142,8 @@ inline void ShuffleAppendEdgeBlock(ThreadPool& pool, const PartitionLayout& layo
     using Stored = std::remove_pointer_t<decltype(out)>;
     // Fanout K: one step (K == 1 copies), so the records land in `out`.
     auto shuffled = ShuffleRecordsFrom(
-        pool, static_cast<const Edge*>(data), out, out, count, layout.num_partitions(),
-        layout.num_partitions(), [&layout](const auto& e) { return layout.PartitionOf(e.src); },
-        stage_bytes);
+        pool, data, out, out, count, layout.num_partitions(), layout.num_partitions(),
+        [&layout](const auto& e) { return layout.PartitionOf(e.src); }, stage_bytes);
     for (uint32_t p = 0; p < layout.num_partitions(); ++p) {
       for (const auto& slice : shuffled.slices) {
         const ChunkRef& c = slice[p];
