@@ -15,8 +15,9 @@
 //      io_uring_setup the leg still runs through the loud fallback and the
 //      uring_* metrics report 0.
 //   B. --stage-bytes: legacy fused counting shuffle vs the cache-sized
-//      staging pass. Output is byte-identical by construction, so the gate
-//      is exact equality of both the results and the routed update volume.
+//      staging pass, in the setup edge shuffle (spills run no shuffle).
+//      Output is byte-identical by construction, so the gate is exact
+//      equality of both the results and the routed update volume.
 //   C. --compress-updates: raw vs delta+varint update spills on a
 //      2ps-relabeled RMAT graph. Routed volume (update_file_bytes) must not
 //      change; actual update-device write bytes must shrink — >= 2x on BFS,
@@ -210,8 +211,8 @@ int main(int argc, char** argv) {
             static_cast<double>(reg.counter("io.uring.fallback_ops").Value()));
 
   // ---- B: cache-sized shuffle staging ------------------------------------
-  std::printf("\npart B: legacy fused counting shuffle vs cache-sized staging "
-              "(auto stage bytes = %s)\n",
+  std::printf("\npart B: setup edge shuffle, legacy fused counting vs cache-sized "
+              "staging (auto stage bytes = %s)\n",
               HumanBytes(DefaultShuffleStageBytes()).c_str());
   LegConfig staged_leg;
   staged_leg.stage_bytes = DefaultShuffleStageBytes();

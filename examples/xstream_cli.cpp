@@ -78,7 +78,7 @@ constexpr char kUsage[] = R"(xstream_cli — edge-centric graph processing
                             SQEs with registered buffers and falls back
                             loudly when the kernel/sandbox lacks io_uring)
     --stage-bytes=N         per-thread staging bytes for the cache-aware
-                            single-stage shuffle (default: auto, half the
+                            setup edge shuffle (default: auto, half the
                             per-core cache; 0 = legacy fused counting
                             shuffle)
     --compress-updates      delta+varint compress spilled update streams
@@ -592,7 +592,6 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
     jcfg.async_spill = !opts.GetBool("sync-spill", false);
     jcfg.spill_queue_depth = static_cast<int>(opts.GetInt("spill-depth", 2));
     jcfg.compress_updates = opts.GetBool("compress-updates", false);
-    jcfg.stage_bytes = StageBytesFromFlags(opts);
     // Hybrid job stores keep their vertices in files so they can pin.
     jcfg.allow_vertex_memory_opt = engine_name != "hybrid";
     jcfg.residency_hysteresis =

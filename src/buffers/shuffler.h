@@ -14,7 +14,7 @@
 // partition p is the union of each slice's chunk p.
 //
 // The in-memory engine does the tree's first level during scatter
-// (BucketedAppender, threads/concurrent_appender.h) and hands the resulting
+// (BucketedAppender, threads/bucketed_appender.h) and hands the resulting
 // per-thread bucket chunks to ShuffleLevels for the levels below it.
 #ifndef XSTREAM_BUFFERS_SHUFFLER_H_
 #define XSTREAM_BUFFERS_SHUFFLER_H_

@@ -14,7 +14,6 @@
 #define XSTREAM_BUFFERS_STREAM_BUFFER_H_
 
 #include <cstdint>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -42,10 +41,6 @@ class StreamBuffer {
   size_t capacity_bytes() const { return bytes_.size(); }
   std::byte* data() { return bytes_.data(); }
   const std::byte* data() const { return bytes_.data(); }
-
-  // The whole chunk array as a byte span (append targets, bulk copies).
-  std::span<std::byte> span() { return {bytes_.data(), bytes_.size()}; }
-  std::span<const std::byte> span() const { return {bytes_.data(), bytes_.size()}; }
 
   // Typed access to the chunk array. The buffer is raw storage; the caller
   // guarantees it was filled with `T` records.

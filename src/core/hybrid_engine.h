@@ -120,7 +120,7 @@ struct HybridConfig {
   // Delta+varint compression of spilled update streams (--compress-updates);
   // pinned partitions' RAM-resident updates are unaffected.
   bool compress_updates = false;
-  // Per-thread staging for the single-stage shuffles (--stage-bytes); 0 =
+  // Per-thread staging for the setup edge shuffle (--stage-bytes); 0 =
   // legacy fused counting shuffle.
   size_t stage_bytes = 0;
   bool replan_between_iterations = true;

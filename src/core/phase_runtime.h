@@ -4,27 +4,32 @@
 // X-Stream applies the same edge-centric iteration structure to in-memory
 // and out-of-core streaming partitions (paper §3 Fig 6, §4 Fig 4). This
 // driver owns that structure once — partition iteration, scatter emission
-// through thread-private staging (threads/concurrent_appender.h), shuffle
-// plumbing, gather draining, vertex iteration, checkpointing and
+// through thread-private staging blocks (threads/bucketed_appender.h),
+// shuffle plumbing, gather draining, vertex iteration, checkpointing and
 // IterationStats/RunStats folding — and is parameterized over a StreamStore
 // (core/stream_store.h) that decides where the streams and vertex states
 // physically live.
 //
-// The two stores imply two phase shapes, selected statically by the store's
-// kPartitionParallel trait:
+// Both shapes scatter through one BucketedAppender: each update is staged
+// in a per-thread block for its destination bucket, so scatter's output is
+// already grouped by partition. The two stores imply two phase shapes,
+// selected statically by the store's kPartitionParallel trait:
 //
 //  * Partition-parallel (MemoryStreamStore, §4): partitions are cache-sized
 //    and plentiful, so scatter and gather run partitions concurrently under
-//    work stealing. Scatter stages each update in a per-thread block for its
-//    destination bucket (BucketedAppender), which does the first level of
-//    the §4.2 multi-stage shuffle: with at most `fanout` partitions the
-//    buckets are the partitions and no shuffle pass runs; with more, only
-//    the tree levels below the first run between scatter and gather.
+//    work stealing. The buckets are the first level of the §4.2 multi-stage
+//    shuffle: with at most `fanout` partitions they are the partitions and
+//    no shuffle pass runs; with more, only the tree levels below the first
+//    run between scatter and gather.
 //  * Partition-sequential (DeviceStreamStore, §3): one partition's streams
 //    are loaded at a time; parallelism lives inside each loaded chunk (§4.3
-//    layering), the shuffle is folded into scatter via the store's spill
-//    path, and gather sub-partitions each chunk by destination so threads
-//    touch disjoint vertex ranges.
+//    layering). The buckets are the partitions, and every consumer reads
+//    their blocks where scatter flushed them: a spill copies each file-bound
+//    partition's blocks into one run for its update file, and gather
+//    sub-partitions each loaded chunk by destination so threads touch
+//    disjoint vertex ranges. Thread t scatters the t-th contiguous slice of
+//    each chunk, so at a fixed thread count every bucket's blocks, and
+//    hence every gather order, repeat exactly from run to run.
 //
 // Both shapes schedule selectively when the algorithm has an Active hook
 // (core/algorithm.h): the driver keeps one "holds an Active vertex" flag per
@@ -41,7 +46,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -59,7 +63,7 @@
 #include "obs/trace.h"
 #include "storage/device.h"
 #include "storage/stream_io.h"
-#include "threads/concurrent_appender.h"
+#include "threads/bucketed_appender.h"
 #include "threads/thread_pool.h"
 #include "threads/work_stealing.h"
 #include "util/logging.h"
@@ -107,10 +111,7 @@ class StreamingPhaseDriver {
  public:
   using VertexState = typename Algo::VertexState;
   using Update = typename Algo::Update;
-  // Partition-parallel scatter groups updates by destination bucket as it
-  // appends; the device shape appends flat and shuffles in its spill path.
-  using ScatterAppender = std::conditional_t<Store::kPartitionParallel,
-                                             BucketedAppender<Update>, ConcurrentAppender>;
+  using ScatterAppender = BucketedAppender<Update>;
 
   StreamingPhaseDriver(Store& store, const PhaseDriverOptions& opts)
       : store_(store),
@@ -129,7 +130,7 @@ class StreamingPhaseDriver {
       }
     }
     // Stores that can attribute their internal waits (spill-write stalls,
-    // edge-scan and gather read stalls, in-spill shuffles) feed the same
+    // edge-scan and gather read stalls) and spill routing feed the same
     // accountant the driver charges its phase sections to.
     if constexpr (requires(Store& st, obs::PhaseAccountant* a) { st.BindAccountant(a); }) {
       store_.BindAccountant(&accountant_);
@@ -316,14 +317,9 @@ class StreamingPhaseDriver {
     store_.BeginIteration();
     next_boundary_ = first_partition;
     boundaries_left_ = store_.layout().num_partitions();
-    if constexpr (Store::kPartitionParallel) {
-      scatter_appender_ = std::make_unique<ScatterAppender>(
-          store_.update_records(), store_.pool().num_threads(),
-          store_.layout().num_partitions() >> bucket_shift_, DefaultShuffleStageBytes());
-    } else {
-      scatter_appender_ = std::make_unique<ScatterAppender>(
-          store_.fill_span(), sizeof(Update), store_.pool().num_threads());
-    }
+    scatter_appender_ = std::make_unique<ScatterAppender>(
+        store_.update_records(), store_.pool().num_threads(),
+        store_.layout().num_partitions() >> bucket_shift_, DefaultShuffleStageBytes());
   }
 
   // Whether partition s takes part in this iteration's scatter: not when
@@ -357,13 +353,16 @@ class StreamingPhaseDriver {
 
   // Streams one loaded span of the current partition's edges: spill when the
   // worst-case output may not fit (device shape), scatter the span in
-  // parallel, flush the staging the spill check reads (device shape; bucket
-  // blocks flush when the iteration's scatter ends). Chunks may come from
-  // the store's own reader (solo runs) or from a scheduler's shared scan.
+  // parallel, flush the blocks the spill check counts (device shape; the
+  // memory shape's blocks flush when the iteration's scatter ends). Thread t
+  // takes the t-th contiguous slice (a short span runs on thread 0 alone),
+  // so which blocks a bucket holds depends only on the chunks. Chunks may
+  // come from the store's own reader (solo runs) or from a scheduler's
+  // shared scan.
   void ScatterChunk(Algo& algo, const Edge* es, uint64_t n) {
     ScatterAppender& appender = *scatter_appender_;
     if constexpr (!Store::kPartitionParallel) {
-      if (appender.bytes() + n * sizeof(Update) > store_.buffer_bytes()) {
+      if ((appender.records() + n) * sizeof(Update) > store_.buffer_bytes()) {
         store_.SpillUpdates(algo, appender);
         appender.Reset();  // scatter continues into the drained fill buffer
       }
@@ -371,11 +370,19 @@ class StreamingPhaseDriver {
     std::atomic<uint64_t> wasted{0};
     {
       obs::PhaseTimer pt(&accountant_, obs::Phase::kScatter, attr_partition_);
-      store_.pool().ParallelForTid(0, n, 2048, [&](int tid, uint64_t lo, uint64_t hi) {
-        uint64_t w = ScatterSpan(algo, es + lo, hi - lo, scatter_state_base_,
-                                 scatter_part_base_, tid, appender);
-        wasted.fetch_add(w, std::memory_order_relaxed);
-      });
+      ThreadPool& pool = store_.pool();
+      const uint64_t threads = static_cast<uint64_t>(pool.num_threads());
+      if (threads == 1 || n <= kMinSplitEdges) {
+        wasted = ScatterSpan(algo, es, n, scatter_state_base_, scatter_part_base_, 0, appender);
+      } else {
+        pool.RunOnAll([&](int tid) {
+          const uint64_t lo = n * static_cast<uint64_t>(tid) / threads;
+          const uint64_t hi = n * static_cast<uint64_t>(tid + 1) / threads;
+          uint64_t w = ScatterSpan(algo, es + lo, hi - lo, scatter_state_base_,
+                                   scatter_part_base_, tid, appender);
+          wasted.fetch_add(w, std::memory_order_relaxed);
+        });
+      }
       if constexpr (!Store::kPartitionParallel) {
         appender.FlushAll();
       }
@@ -403,14 +410,8 @@ class StreamingPhaseDriver {
       if (bucket_shift_ == 0) {
         // The buckets are the partitions: gather reads each partition's
         // blocks where scatter flushed them.
-        const Update* data = store_.update_records().data();
-        GatherPartitionParallel(algo, [&](uint32_t p, auto&& gather) {
-          for (const auto& slice : appender.chunks()) {
-            for (const ChunkRef& c : slice[p]) {
-              gather(data + c.begin, c.count);
-            }
-          }
-        });
+        GatherPartitionParallel(
+            algo, [&](uint32_t p, auto&& gather) { appender.ForEachBlock(p, gather); });
       } else {
         const PartitionLayout& layout = store_.layout();
         ShuffleOutput<Update> shuffled;
@@ -635,11 +636,15 @@ class StreamingPhaseDriver {
  private:
   static constexpr size_t kCheckpointChunkBytes = 4 * 1024 * 1024;
 
+  // ScatterChunk scatters a span of at most this many edges on one thread:
+  // waking the pool would cost more than the span's work.
+  static constexpr uint64_t kMinSplitEdges = 2048;
+
   // Shared scatter inner loop: streams one span of stored edge records
   // (Edge, or EdgePair seen as an Edge of weight 0) against the given state
-  // slice, appending emitted updates from thread `tid` (to their
-  // destination bucket in the partition-parallel shape). Returns the number
-  // of wasted edges (streamed, no update sent — Fig 12b).
+  // slice, appending emitted updates from thread `tid` to their destination
+  // bucket. Returns the number of wasted edges (streamed, no update sent —
+  // Fig 12b).
   template <typename EdgeRecord>
   uint64_t ScatterSpan(Algo& algo, const EdgeRecord* es, uint64_t count,
                        const VertexState* state_base, VertexId part_base, int tid,
@@ -650,11 +655,7 @@ class StreamingPhaseDriver {
       Update out;
       if (algo.Scatter(state_base[layout.DenseId(es[i].src) - part_base], ToEdge(es[i]),
                        out)) {
-        if constexpr (Store::kPartitionParallel) {
-          appender.Append(tid, layout.PartitionOf(out.dst) >> bucket_shift_, out);
-        } else {
-          appender.Append(tid, &out);
-        }
+        appender.Append(tid, layout.PartitionOf(out.dst) >> bucket_shift_, out);
       } else {
         ++wasted;
       }
@@ -821,19 +822,29 @@ class StreamingPhaseDriver {
       VertexId part_base = store_.all_resident() ? 0 : layout.Begin(p);
 
       if (plan.memory_gather) {
-        if (plan.tail_records > 0) {
-          for (const auto& slice : plan.resident.slices) {
-            const ChunkRef& c = slice[p];
-            if (c.count > 0) {
-              GatherChunk(algo, plan.resident.data + c.begin, c.count, state_base, part_base,
-                          p, plan.tmp_a, plan.tmp_b, changed);
-            }
+        // p's bucket blocks, where scatter flushed them: one slice per
+        // scattering thread.
+        SliceNodes slices(plan.chunks->size());
+        uint64_t count = 0;
+        for (size_t t = 0; t < slices.size(); ++t) {
+          const ChunkList& blocks = (*plan.chunks)[t][p];
+          slices[t] = {blocks};
+          for (const ChunkRef& c : blocks) {
+            count += c.count;
           }
         }
+        GatherChunk(algo, plan.resident, slices, count, state_base, part_base, p, plan.scratch,
+                    changed);
       } else {
+        const uint64_t threads = static_cast<uint64_t>(pool.num_threads());
         store_.ForEachUpdateChunk(p, [&](const Update* us, uint64_t count) {
-          GatherChunk(algo, us, count, state_base, part_base, p, plan.tmp_a, plan.tmp_b,
-                      changed);
+          // One loaded chunk: one contiguous slice per thread.
+          SliceNodes slices(threads);
+          for (uint64_t t = 0; t < threads; ++t) {
+            const uint64_t lo = count * t / threads;
+            slices[t] = {ChunkList{ChunkRef{lo, count * (t + 1) / threads - lo}}};
+          }
+          GatherChunk(algo, us, slices, count, state_base, part_base, p, plan.scratch, changed);
         });
       }
 
@@ -852,20 +863,27 @@ class StreamingPhaseDriver {
     cur_iter_.vertices_changed = changed.load();
   }
 
-  // Gathers one loaded chunk of updates. With multiple threads the chunk is
-  // first sub-partitioned by destination (the §4.3 layering) so threads
-  // gather disjoint vertex ranges without synchronization. tmp_a/tmp_b must
-  // not alias `us`.
-  void GatherChunk(Algo& algo, const Update* us, uint64_t count, VertexState* state_base,
-                   VertexId part_base, uint32_t p, Update* tmp_a, Update* tmp_b,
+  // Gathers `count` updates of partition p that sit in `in` as one slice of
+  // chunks per pool thread (`slices[t]` holds a single node: the slice's
+  // chunks in order). With multiple threads the updates are first
+  // sub-partitioned by destination (the §4.3 layering), read in place and
+  // written to `scratch`, so threads gather disjoint vertex ranges without
+  // synchronization; `scratch` must hold `count` updates and not alias
+  // `in`. Every vertex sees its updates in slice order, then chunk order.
+  void GatherChunk(Algo& algo, const Update* in, const SliceNodes& slices, uint64_t count,
+                   VertexState* state_base, VertexId part_base, uint32_t p, Update* scratch,
                    std::atomic<uint64_t>& changed) {
     const PartitionLayout& layout = store_.layout();
     ThreadPool& pool = store_.pool();
     if (pool.num_threads() == 1 || count < 4096) {
       uint64_t local = 0;
-      for (uint64_t i = 0; i < count; ++i) {
-        if (algo.Gather(state_base[layout.DenseId(us[i].dst) - part_base], us[i])) {
-          ++local;
+      for (const auto& slice : slices) {
+        for (const ChunkRef& c : slice.front()) {
+          for (uint64_t i = c.begin; i < c.begin + c.count; ++i) {
+            if (algo.Gather(state_base[layout.DenseId(in[i].dst) - part_base], in[i])) {
+              ++local;
+            }
+          }
         }
       }
       changed.fetch_add(local, std::memory_order_relaxed);
@@ -875,10 +893,12 @@ class StreamingPhaseDriver {
     uint64_t part_size = std::max<uint64_t>(1, layout.Size(p));
     uint64_t sub_span = (part_size + sub_k - 1) / sub_k;
     VertexId begin = layout.Begin(p);
-    std::memcpy(tmp_a, us, count * sizeof(Update));
-    auto sub = ShuffleRecords(pool, tmp_a, tmp_b, count, sub_k, sub_k, [&](const Update& u) {
-      return static_cast<uint32_t>((layout.DenseId(u.dst) - begin) / sub_span);
-    });
+    // Fanout sub_k: a single level, which reads `in` and writes `scratch`.
+    auto sub = ShuffleLevelsFrom(pool, in, scratch, scratch, slices, sub_k, sub_k, 0,
+                                 [&](const Update& u) {
+                                   return static_cast<uint32_t>(
+                                       (layout.DenseId(u.dst) - begin) / sub_span);
+                                 });
     std::atomic<uint32_t> next{0};
     pool.RunOnAll([&](int) {
       uint64_t local = 0;

@@ -15,17 +15,19 @@
 //    Never spills.
 //  * DeviceStreamStore — the device engine's substrate (§3): one edge
 //    (Edge or EdgePair records, see below), update and vertex file per
-//    streaming partition on StorageDevices,
-//    chunked StreamReader input, and a spill path that shuffles a filled
-//    output buffer and appends the per-partition chunks to the update files
-//    on the device's I/O thread. Spill writes are double-buffered: the
-//    shuffle of batch k+1 runs while the write of batch k is in flight
-//    (§3.3 "writes to disk of the chunks in one output buffer are
-//    overlapped with computing ... into another output buffer"), waiting
-//    only when a shuffle destination buffer is still owned by the write two
-//    batches back. `async_spill = false` degrades to a fully synchronous
-//    spill (the fig28 baseline). A pin budget keeps planner-chosen
-//    partitions in RAM; budget 0 is the paper's out-of-core store.
+//    streaming partition on StorageDevices, chunked StreamReader input, and
+//    a fill buffer that scatter appends into already grouped by destination
+//    partition (BucketedAppender blocks). A spill copies each file-bound
+//    partition's blocks into one contiguous run of a slot buffer and appends
+//    the runs to the update files on the device's I/O thread; no shuffle
+//    pass runs. Spill writes are double-buffered: the copy of batch k+1 runs
+//    while the write of batch k is in flight (§3.3 "writes to disk of the
+//    chunks in one output buffer are overlapped with computing ... into
+//    another output buffer"), waiting only when a slot buffer is still
+//    owned by the write two batches back. `async_spill = false` degrades to
+//    a fully synchronous spill (the fig28 baseline). A pin budget keeps
+//    planner-chosen partitions in RAM; budget 0 is the paper's out-of-core
+//    store.
 //
 // The common surface the driver relies on is captured by the StreamStoreFor
 // concept below; the phase-shape extensions (partition-parallel scatter for
@@ -62,7 +64,7 @@
 #include "storage/device.h"
 #include "storage/io_executor.h"
 #include "storage/stream_io.h"
-#include "threads/concurrent_appender.h"
+#include "threads/bucketed_appender.h"
 #include "threads/thread_pool.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -600,8 +602,8 @@ class MemoryStreamStore {
 
 // ---------------------------------------------------------------------------
 // DeviceStreamStore: per-partition edge/update/vertex files on storage
-// devices (paper §3), with the folded shuffle-spill path and a
-// planner-chosen set of partitions held in RAM.
+// devices (paper §3), with scatter output bucketed by destination partition
+// as it is appended and a planner-chosen set of partitions held in RAM.
 //
 // When vertex states live in files, a ResidencyPlanner (core/residency.h)
 // pins partitions under `pin_budget_bytes`, pricing each from the setup
@@ -609,10 +611,10 @@ class MemoryStreamStore {
 //
 //  * vertex states are held in RAM (vertex-file loads/stores become
 //    memcpys in/out of the pin),
-//  * updates destined to it are appended to an in-RAM buffer during the
-//    spill shuffle instead of being written to — and later read back
-//    from — its update file: the §3.2 memory-gather optimization applied
-//    per partition instead of all-or-nothing, and
+//  * updates destined to it are appended to an in-RAM buffer at each spill
+//    instead of being written to — and later read back from — its update
+//    file: the §3.2 memory-gather optimization applied per partition
+//    instead of all-or-nothing, and
 //  * with `pin_edges` on, its edge stream is captured into a
 //    PinnedEdgeCache on the first device scan and served from RAM
 //    afterwards, so at a full budget the store runs at memory speed.
@@ -656,10 +658,10 @@ struct DeviceStoreOptions {
   // Double-buffered asynchronous spill writes (§3.3). Off = each spill
   // waits for its own update-file write (the fig28 sync baseline).
   bool async_spill = true;
-  // Spill write-pipeline depth: how many shuffle/write buffers the spill
-  // path rotates through. 2 = the paper's double buffering; RAID update
-  // devices that absorb several streams can take more writes in flight.
-  // Clamped to >= 2 (the gather scratch logic needs two non-fill buffers).
+  // Spill write-pipeline depth: how many slot buffers the spill path
+  // rotates through. 2 = the paper's double buffering; RAID update devices
+  // that absorb several streams can take more writes in flight. Clamped to
+  // >= 2.
   int spill_queue_depth = 2;
   std::string file_prefix = "xs";
   // Shared-scan attach mode (src/scheduler/): non-null = open these
@@ -676,10 +678,11 @@ struct DeviceStoreOptions {
   // update-device bandwidth, a win exactly when the update device is the
   // bottleneck. Pinned partitions' RAM-resident updates are unaffected.
   bool compress_updates = false;
-  // Per-thread staging bytes for the single-stage shuffles (--stage-bytes):
-  // routes the spill/setup shuffles through StagedSingleStageShuffle when
-  // > 0 (~L2 is the intended size; see DefaultShuffleStageBytes). 0 keeps
-  // the legacy fused counting shuffle. Output is identical either way.
+  // Per-thread staging bytes for the setup edge shuffle (--stage-bytes):
+  // routes it through StagedSingleStageShuffle when > 0 (~L2 is the
+  // intended size; see DefaultShuffleStageBytes). 0 keeps the legacy fused
+  // counting shuffle. Output is identical either way. Scatter output needs
+  // no shuffle: it is appended already bucketed.
   size_t stage_bytes = 0;
 
   // ---- Residency (file-resident vertices only) ----
@@ -947,8 +950,9 @@ class DeviceStreamStore {
   }
 
   // Optional (driver probes with a requires-clause): the accountant the
-  // store's internal waits — spill-write stalls, edge-scan and gather read
-  // stalls, in-spill shuffles — are attributed to (obs/attribution.h).
+  // store's internal waits and spill routing — spill-write stalls,
+  // edge-scan and gather read stalls, and the spill's absorption and copies
+  // (as scatter) — are attributed to (obs/attribution.h).
   void BindAccountant(obs::PhaseAccountant* acct) { acct_ = acct; }
 
   // Iteration boundary. With a planner, runs the incremental re-plan
@@ -1054,9 +1058,12 @@ class DeviceStreamStore {
   // ---- Scatter side -------------------------------------------------------
 
   // The shared append target for scatter output. Unlike the §3.3 sketch the
-  // fill buffer is stable: spills consume it synchronously (the shuffle runs
-  // on the compute threads), so only the shuffle *destinations* alternate.
-  std::span<std::byte> fill_span() { return fill_.span(); }
+  // fill buffer is stable: spills consume it synchronously (the copy runs
+  // on the compute threads), so only the slot buffers the writes own
+  // alternate.
+  std::span<Update> update_records() {
+    return {fill_.template records<Update>(), fill_.template capacity_records<Update>()};
+  }
 
   // Loads partition s's states and arms local-update absorption: spills
   // gather s-destined updates into a shadow next-state while scatter keeps
@@ -1103,22 +1110,23 @@ class DeviceStreamStore {
     StreamPartitionEdges(s, std::forward<F>(f));
   }
 
-  // In-memory shuffle of the filled output buffer + asynchronous appends of
-  // the per-partition chunks to the update files (the folded shuffle phase,
-  // Fig 6). Destination buffers rotate through spill_queue_depth slots so
-  // the shuffle of this batch overlaps the writes of the previous ones; the
-  // only wait is for the write `depth` batches back, which still owns the
-  // destination about to be reused.
+  // Routes the fill buffer's updates by destination partition (the folded
+  // shuffle phase, Fig 6, with the grouping already done by scatter's
+  // buckets) and appends the file-bound ones asynchronously. Each file-bound
+  // partition's blocks are copied, in parallel over partitions, into one
+  // contiguous run of a slot buffer, so the writer issues one append per
+  // partition; slot buffers rotate through spill_queue_depth slots so this
+  // batch's copy overlaps the writes of the previous ones, and the only
+  // wait is for the write `depth` batches back, which still owns the slot.
   //
-  // When a scatter partition is active (absorb_partition_), its own chunks
-  // are gathered straight into its shadow next-state here — synchronously,
-  // before the async write is submitted, so the writer thread and this
-  // thread only ever read the shuffled buffer — and never reach its update
-  // file. Chunks for pinned partitions are appended to their RAM buffers
-  // on this thread and excluded from the write; the write lambda works off
+  // When a scatter partition is active (absorb_partition_), its own blocks
+  // are gathered straight into its shadow next-state here and never reach
+  // its update file. Pinned partitions' blocks are appended to their RAM
+  // buffers, in the same parallel copy. All of this reads the fill buffer
+  // in place, before the write is submitted, and the write lambda works off
   // a routing snapshot, so a later re-plan can never race it. The caller
   // must Reset() the appender afterwards.
-  void SpillUpdates(Algo& algo, ConcurrentAppender& appender) {
+  void SpillUpdates(Algo& algo, BucketedAppender<Update>& appender) {
     appender.FlushAll();
     uint64_t n = appender.records();
     if (n == 0) {
@@ -1130,175 +1138,148 @@ class DeviceStreamStore {
     spilled_ = true;
     spilled_updates_ += n;
     drain_watermark_ = 0;  // the fill buffer is fresh after this returns
-
-    Update* src = fill_.template records<Update>();
-    Update* dst = alt_[static_cast<size_t>(slot)].template records<Update>();
-    ShuffleOutput<Update> shuffled;
-    obs::TraceSpan shuffle_span("shuffle");
-    obs::PhaseTimer shuffle_pt(acct_, obs::Phase::kShuffle, attr_partition_);
-    if (layout_.num_partitions() == 1) {
-      // ShuffleRecords would leave a single partition's records in place in
-      // the fill buffer, which scatter immediately overwrites; stage them
-      // into the destination buffer so the async write owns private memory.
-      std::memcpy(dst, src, n * sizeof(Update));
-      shuffled.data = dst;
-      shuffled.num_partitions = 1;
-      shuffled.slices = {{ChunkRef{0, n}}};
-    } else {
-      shuffled = ShuffleRecords(pool_, src, dst, n, layout_.num_partitions(),
-                                layout_.num_partitions(),
-                                [this](const Update& u) { return layout_.PartitionOf(u.dst); },
-                                opts_.stage_bytes);
-      XS_CHECK(shuffled.data == dst);  // single-stage shuffle, K > 1
-    }
-    shuffle_span.Close();
-    shuffle_pt.Stop();
+    // The routing below is scatter's output path, charged like scatter (the
+    // wait above is charged as a spill wait).
+    obs::PhaseTimer route_pt(acct_, obs::Phase::kScatter, attr_partition_);
 
     const uint32_t absorb = absorb_partition_;
     if (absorb != kNoAbsorbPartition) {
       VertexId part_base = layout_.Begin(absorb);
-      uint64_t absorbed = 0;
-      for (const auto& slice : shuffled.slices) {
-        const ChunkRef& c = slice[absorb];
-        const Update* rec = shuffled.data + c.begin;
-        for (uint64_t i = 0; i < c.count; ++i) {
+      appender.ForEachBlock(absorb, [&](const Update* rec, uint64_t count) {
+        for (uint64_t i = 0; i < count; ++i) {
           if (algo.Gather(shadow_states_[layout_.DenseId(rec[i].dst) - part_base], rec[i])) {
             ++absorbed_changed_;
           }
         }
-        absorbed += c.count;
-      }
+      });
+      uint64_t absorbed = appender.BucketRecords(absorb);
       if (absorbed > 0) {
         shadow_dirty_ = true;
         absorbed_updates_ += absorbed;
       }
     }
 
-    // Route every destination partition: the scatter partition's chunks were
-    // gathered into the shadow above, pinned partitions' chunks go to their
-    // RAM buffers, the rest to the update files. Every routed update counts
-    // toward next iteration's re-plan signal.
-    uint64_t submitted_bytes = 0;
-    uint64_t kept_bytes = 0;
-    std::vector<uint8_t> to_file(layout_.num_partitions(), 0);
-    for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
-      uint64_t routed = 0;
-      for (const auto& slice : shuffled.slices) {
-        routed += slice[p].count;
-      }
+    // Route every destination partition: the scatter partition's blocks were
+    // gathered into the shadow above, pinned partitions' blocks go to the
+    // end of their RAM buffers, the rest to one run each of the slot buffer.
+    // Every routed update counts toward next iteration's re-plan signal.
+    const uint32_t k = layout_.num_partitions();
+    std::vector<ChunkRef> runs(k);  // file-bound partitions' runs in the slot
+    std::vector<uint64_t> pinned(k, 0);  // records bound for each RAM buffer
+    uint64_t submitted = 0;
+    uint64_t kept = 0;
+    for (uint32_t p = 0; p < k; ++p) {
+      uint64_t routed = appender.BucketRecords(p);
       observed_updates_[p] += routed;
       if (p == absorb) {
         continue;
       }
       if (plan_.resident[p]) {
-        for (const auto& slice : shuffled.slices) {
-          const ChunkRef& c = slice[p];
-          pinned_updates_[p].insert(pinned_updates_[p].end(), shuffled.data + c.begin,
-                                    shuffled.data + c.begin + c.count);
-        }
-        kept_bytes += routed * sizeof(Update);
+        pinned[p] = routed;
+        kept += routed;
       } else {
-        to_file[p] = 1;
-        submitted_bytes += routed * sizeof(Update);
+        runs[p] = ChunkRef{submitted, routed};
+        submitted += routed;
       }
     }
-    stats_->update_file_bytes += submitted_bytes;
-    if (kept_bytes > 0) {
+    stats_->update_file_bytes += submitted * sizeof(Update);
+    if (kept > 0) {
       // A kept byte skips both the update-file append and the gather
       // read-back.
-      stats_->avoided_spill_bytes += 2 * kept_bytes;
+      stats_->avoided_spill_bytes += 2 * kept * sizeof(Update);
     }
 
-    const Update* data = shuffled.data;
-    auto slices =
-        std::make_shared<std::vector<std::vector<ChunkRef>>>(std::move(shuffled.slices));
-    // The write lambda owns the shuffled buffer until WaitWriteSlot, so the
+    // The copies, in parallel over partitions.
+    Update* data = alt_[static_cast<size_t>(slot)].template records<Update>();
+    if (submitted + kept > 0) {
+      pool_.ParallelFor(0, k, 1, [&](uint64_t lo, uint64_t hi) {
+        for (uint32_t p = static_cast<uint32_t>(lo); p < hi; ++p) {
+          Update* out = data + runs[p].begin;
+          if (pinned[p] > 0) {
+            std::vector<Update>& buf = pinned_updates_[p];
+            buf.resize(buf.size() + pinned[p]);
+            out = buf.data() + buf.size() - pinned[p];
+          } else if (runs[p].count == 0) {
+            continue;
+          }
+          appender.ForEachBlock(p, [&](const Update* rec, uint64_t count) {
+            std::memcpy(out, rec, count * sizeof(Update));
+            out += count;
+          });
+        }
+      });
+    }
+    route_pt.Stop();
+
+    // The write lambda owns the slot buffer until WaitWriteSlot, so the
     // compressed path encodes there too — on the I/O thread, overlapped with
-    // the next batch's scatter/shuffle exactly like the raw appends.
-    pending_write_[static_cast<size_t>(slot)] = update_dev_.executor().Submit(
-        [this, data, slices, routing = std::move(to_file)] {
+    // the next batch's scatter exactly like the raw appends.
+    pending_write_[static_cast<size_t>(slot)] =
+        update_dev_.executor().Submit([this, data, runs = std::move(runs)] {
           std::vector<std::byte> enc;  // reused across partitions when compressing
           for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
-            if (!routing[p]) {
-              continue;  // gathered into the shadow / kept resident above
+            const ChunkRef& run = runs[p];
+            if (run.count == 0) {
+              continue;  // gathered into the shadow, kept resident, or empty
             }
             if (opts_.compress_updates) {
               enc.clear();
-              uint64_t recs = 0;
               WallTimer codec_timer;
-              for (const auto& slice : *slices) {
-                const ChunkRef& c = slice[p];
-                if (c.count > 0) {
-                  codec_.EncodeChunk(p, data + c.begin, c.count, enc);
-                  recs += c.count;
-                }
-              }
+              codec_.EncodeChunk(p, data + run.begin, run.count, enc);
               double codec_seconds = codec_timer.Seconds();
-              if (recs > 0) {
-                update_dev_.Append(update_files_[p],
-                                   std::span<const std::byte>(enc.data(), enc.size()));
-                auto& reg = obs::MetricsRegistry::Global();
-                reg.counter("store.codec.raw_bytes").Add(recs * sizeof(Update));
-                reg.counter("store.codec.encoded_bytes").Add(enc.size());
-                reg.histogram("store.codec.encode_ns_per_update")
-                    .Observe(codec_seconds * 1e9 / static_cast<double>(recs));
-              }
+              update_dev_.Append(update_files_[p],
+                                 std::span<const std::byte>(enc.data(), enc.size()));
+              auto& reg = obs::MetricsRegistry::Global();
+              reg.counter("store.codec.raw_bytes").Add(run.count * sizeof(Update));
+              reg.counter("store.codec.encoded_bytes").Add(enc.size());
+              reg.histogram("store.codec.encode_ns_per_update")
+                  .Observe(codec_seconds * 1e9 / static_cast<double>(run.count));
               continue;
             }
-            for (const auto& slice : *slices) {
-              const ChunkRef& c = slice[p];
-              if (c.count > 0) {
-                update_dev_.Append(update_files_[p],
-                                   std::span<const std::byte>(
-                                       reinterpret_cast<const std::byte*>(data + c.begin),
-                                       c.count * sizeof(Update)));
-              }
-            }
+            update_dev_.Append(update_files_[p],
+                               std::span<const std::byte>(
+                                   reinterpret_cast<const std::byte*>(data + run.begin),
+                                   run.count * sizeof(Update)));
           }
         });
     write_slot_ = (write_slot_ + 1) % static_cast<int>(alt_.size());
     if (opts_.async_spill) {
-      stats_->async_spill_bytes += submitted_bytes;
+      stats_->async_spill_bytes += submitted * sizeof(Update);
     } else {
       WaitWriteSlot(slot);
     }
   }
 
-  // Drain: s-destined updates still sitting in the append buffer are
-  // gathered now, while s's shadow is live — one compaction scan, no
-  // shuffle. Spill-time absorption alone misses them whenever a partition's
-  // scatter output fits the buffer (the common case for high-locality
-  // mappings, whose updates are mostly s->s). Only records appended since
-  // the last drain are scanned (survivors of an earlier drain targeted a
-  // partition != its s; rescanning them at every later partition would cost
-  // O(k x buffer) per iteration) — absorption is opportunistic, so skipping
-  // them is merely fewer absorbed updates, never a correctness issue.
-  void EndPartitionScatter(Algo& algo, ConcurrentAppender& appender) {
+  // Drain: s-destined updates still sitting in the fill buffer are gathered
+  // now, while s's shadow is live — bucket s's blocks are handed out and the
+  // later blocks compacted over them, no shuffle. Spill-time absorption
+  // alone misses them whenever a partition's scatter output fits the buffer
+  // (the common case for high-locality mappings, whose updates are mostly
+  // s->s). Only blocks flushed since the last drain are drained (bucket s's
+  // earlier blocks came from partitions scattered before s and stay for the
+  // gather) — absorption is opportunistic, so skipping them is merely fewer
+  // absorbed updates, never a correctness issue.
+  void EndPartitionScatter(Algo& algo, BucketedAppender<Update>& appender) {
     if (absorb_partition_ == kNoAbsorbPartition) {
       return;
     }
     uint32_t s = absorb_partition_;
     appender.FlushAll();
-    uint64_t buffered = appender.records();
-    Update* buf = fill_.template records<Update>();
     VertexId drain_base = layout_.Begin(s);
-    uint64_t kept = drain_watermark_;
-    for (uint64_t i = drain_watermark_; i < buffered; ++i) {
-      if (layout_.PartitionOf(buf[i].dst) == s) {
-        if (algo.Gather(shadow_states_[layout_.DenseId(buf[i].dst) - drain_base], buf[i])) {
-          ++absorbed_changed_;
-        }
-      } else {
-        buf[kept++] = buf[i];
-      }
-    }
-    if (kept < buffered) {
-      appender.Rewind(kept * sizeof(Update));
-      drained_updates_ += buffered - kept;
-      observed_updates_[s] += buffered - kept;
+    uint64_t drained =
+        appender.DrainBucket(s, drain_watermark_, [&](const Update* rec, uint64_t count) {
+          for (uint64_t i = 0; i < count; ++i) {
+            if (algo.Gather(shadow_states_[layout_.DenseId(rec[i].dst) - drain_base], rec[i])) {
+              ++absorbed_changed_;
+            }
+          }
+        });
+    if (drained > 0) {
+      drained_updates_ += drained;
+      observed_updates_[s] += drained;
       shadow_dirty_ = true;
     }
-    drain_watermark_ = kept;
+    drain_watermark_ = appender.records();
     // Absorbed updates became part of s's next state: persist them so the
     // gather phase reloads them along with the vertex file.
     if (shadow_dirty_) {
@@ -1315,51 +1296,37 @@ class DeviceStreamStore {
     // in memory and never touches storage.
     bool memory_gather = false;
     uint64_t tail_records = 0;
-    ShuffleOutput<Update> resident;  // when memory_gather && tail_records > 0
-    // Scratch for the gather sub-shuffle, chosen to never alias the
-    // resident updates (or, in the file path, the reader's buffers).
-    Update* tmp_a = nullptr;
-    Update* tmp_b = nullptr;
+    // Memory gather: the buckets' blocks in the fill buffer, (*chunks)[t][p]
+    // as BucketedAppender::chunks() lists them, valid until the appender is
+    // reset or destroyed.
+    const Update* resident = nullptr;
+    const std::vector<std::vector<ChunkList>>* chunks = nullptr;
+    // Scratch for gather's sub-shuffle: one partition's resident updates or
+    // one loaded chunk. It aliases neither, nor the reader's buffers.
+    Update* scratch = nullptr;
   };
 
-  // End of scatter: either keep the whole update set in memory or spill the
-  // tail like any other buffer, then drain every outstanding write (errors
-  // raised on the I/O thread propagate from here).
-  GatherPlan FinishScatter(Algo& algo, ConcurrentAppender& appender) {
+  // End of scatter: either keep the whole update set in memory, where
+  // scatter's buckets left it, or spill the tail like any other buffer,
+  // then drain every outstanding write (errors raised on the I/O thread
+  // propagate from here).
+  GatherPlan FinishScatter(Algo& algo, BucketedAppender<Update>& appender) {
     GatherPlan plan;
     appender.FlushAll();
     plan.tail_records = appender.records();
     plan.memory_gather = !spilled_ && opts_.allow_update_memory_opt;
     if (plan.memory_gather) {
-      if (plan.tail_records > 0) {
-        plan.resident = ShuffleRecords(
-            pool_, fill_.template records<Update>(), alt_[0].template records<Update>(),
-            plan.tail_records, layout_.num_partitions(), layout_.num_partitions(),
-            [this](const Update& u) { return layout_.PartitionOf(u.dst); }, opts_.stage_bytes);
-        // Memory-gathered tails still count toward the re-plan signal.
-        for (const auto& slice : plan.resident.slices) {
-          for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
-            observed_updates_[p] += slice[p].count;
-          }
-        }
+      plan.resident = fill_.template records<Update>();
+      plan.chunks = &appender.chunks();
+      // Memory-gathered tails still count toward the re-plan signal.
+      for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
+        observed_updates_[p] += appender.BucketRecords(p);
       }
     } else if (plan.tail_records > 0) {
       SpillUpdates(algo, appender);
     }
     WaitAllWrites();
-
-    if (plan.memory_gather && plan.resident.data == alt_[0].template records<Update>()) {
-      plan.tmp_a = fill_.template records<Update>();
-      plan.tmp_b = alt_[1].template records<Update>();
-    } else if (plan.memory_gather && plan.tail_records > 0) {
-      // Single-partition shuffle left the records in place in the fill
-      // buffer.
-      plan.tmp_a = alt_[0].template records<Update>();
-      plan.tmp_b = alt_[1].template records<Update>();
-    } else {
-      plan.tmp_a = fill_.template records<Update>();
-      plan.tmp_b = alt_[0].template records<Update>();
-    }
+    plan.scratch = alt_[0].template records<Update>();
     return plan;
   }
 
@@ -1802,11 +1769,11 @@ class DeviceStreamStore {
   StreamCodec<Update> codec_;
 
   uint64_t buffer_bytes_ = 0;
-  // Scatter output accumulates in fill_; spills shuffle it into rotating
-  // alt_ buffers (spill_queue_depth of them, >= 2) whose contents the async
+  // Scatter output accumulates in fill_; spills copy it into rotating alt_
+  // slot buffers (spill_queue_depth of them, >= 2) whose contents the async
   // update-file write owns until the matching WaitWriteSlot. alt_[0] doubles
-  // as shuffle scratch at setup / ingest / memory-gather time, when no
-  // writes are outstanding.
+  // as shuffle scratch at setup / ingest time and as gather's sub-shuffle
+  // scratch, when no writes are outstanding.
   StreamBuffer fill_;
   std::vector<StreamBuffer> alt_;
   std::vector<std::future<void>> pending_write_;
@@ -1832,8 +1799,8 @@ class DeviceStreamStore {
   std::vector<uint64_t> local_edge_counts_;  // src and dst share the partition
 
   bool spilled_ = false;
-  uint64_t spilled_updates_ = 0;   // this iteration, via spill shuffles
-  uint64_t absorbed_updates_ = 0;  // this iteration, via spill-time chunks
+  uint64_t spilled_updates_ = 0;   // this iteration, via spills
+  uint64_t absorbed_updates_ = 0;  // this iteration, via spill-time blocks
   uint64_t drained_updates_ = 0;   // this iteration, via end-of-partition drain
   uint64_t absorbed_changed_ = 0;  // this iteration
   uint64_t drain_watermark_ = 0;   // records of fill_ already drain-scanned

@@ -43,7 +43,7 @@ std::string PhaseHint(Phase ph, double share) {
       return "shuffle takes " + pct +
              " of accounted time: it runs on the compute threads, so add "
              "--threads";
-    case Phase::kGather:
+    case Phase::kGather:  // only when gather read update files (Diagnose)
       return "gather takes " + pct +
              " of accounted time: raise --memory-budget so updates stay "
              "resident";
@@ -127,6 +127,7 @@ void WriteSnapshotJson(JsonWriter& w, const AttributionSnapshot& snap) {
   }
   w.EndObject();
   w.Field("gather_read_wait_seconds", snap.gather_read_wait_seconds);
+  w.Field("gather_reads", snap.gather_reads);
   w.Key("per_iteration").BeginArray();
   for (size_t i = 0; i < snap.per_iteration.size(); ++i) {
     w.BeginObject();
@@ -231,8 +232,13 @@ AttributionDiagnosis AttributionSnapshot::Diagnose() const {
   }
 
   // Hints: every phase holding a meaningful share, in rank order; the
-  // bottleneck always speaks even when its share is small.
+  // bottleneck always speaks even when its share is small. A gather that
+  // read no update file already had every update in RAM: a larger budget
+  // cannot help it, so it earns no hint.
   for (size_t i = 0; i < d.ranked.size(); ++i) {
+    if (d.ranked[i].phase == Phase::kGather && gather_reads == 0) {
+      continue;
+    }
     if (i == 0 || d.ranked[i].share >= kHintShareThreshold) {
       d.hints.push_back(PhaseHint(d.ranked[i].phase, d.ranked[i].share));
     }
@@ -341,6 +347,7 @@ void PhaseAccountant::RecordWall(Phase ph, double seconds) {
 }
 
 void PhaseAccountant::RecordGatherReadWait(double seconds) {
+  gather_reads_.fetch_add(1, std::memory_order_relaxed);
   uint64_t ns = ToNs(seconds);
   if (ns == 0) {
     return;
@@ -388,6 +395,7 @@ void PhaseAccountant::Reset() {
     iter_base_[ph] = 0.0;
   }
   gather_read_wait_ns_.store(0, std::memory_order_relaxed);
+  gather_reads_.store(0, std::memory_order_relaxed);
   iterations_.store(0, std::memory_order_relaxed);
   per_iteration_.clear();
   in_iteration_ = false;
@@ -409,6 +417,7 @@ AttributionSnapshot PhaseAccountant::Snapshot() const {
   }
   snap.gather_read_wait_seconds =
       static_cast<double>(gather_read_wait_ns_.load(std::memory_order_relaxed)) * 1e-9;
+  snap.gather_reads = gather_reads_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     snap.per_iteration = per_iteration_;

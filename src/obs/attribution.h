@@ -91,6 +91,7 @@ struct AttributionSnapshot {
   std::vector<double> cells;               // [phase * k + partition] busy seconds
   std::array<double, kPhaseCount> unattributed{};
   double gather_read_wait_seconds = 0.0;  // subset of wall[kGather]
+  uint64_t gather_reads = 0;              // update files gather read
   // Per-iteration wall deltas (ring-capped; `iterations` keeps the true
   // count when a very long run overflows the log).
   std::vector<std::array<double, kPhaseCount>> per_iteration;
@@ -138,7 +139,9 @@ class PhaseAccountant {
     RecordWall(ph, seconds);
   }
   // Gather-side read stalls (a subset of the gather phase, split out so the
-  // I/O-bound verdict can count it as a wait).
+  // I/O-bound verdict can count it as a wait), one call per update file
+  // gather read: the calls are counted too, so the diagnosis knows whether
+  // any update left RAM at all.
   void RecordGatherReadWait(double seconds);
 
   // Iteration boundaries (driving thread only): EndIteration folds the wall
@@ -160,6 +163,7 @@ class PhaseAccountant {
   std::array<std::atomic<uint64_t>, kPhaseCount> wall_ns_{};
   std::array<std::atomic<uint64_t>, kPhaseCount> unattributed_ns_{};
   std::atomic<uint64_t> gather_read_wait_ns_{0};
+  std::atomic<uint64_t> gather_reads_{0};
   std::atomic<uint64_t> iterations_{0};
 
   mutable std::mutex mu_;  // guards per_iteration_ and iter_base_
@@ -253,7 +257,9 @@ class PhaseAccountant {
   void BeginIteration(uint64_t) {}
   void EndIteration() {}
   void Reset() {}
-  AttributionSnapshot Snapshot() const { return AttributionSnapshot{name_, 0, 0, {}, {}, {}, 0.0, {}}; }
+  AttributionSnapshot Snapshot() const {
+    return AttributionSnapshot{name_, 0, 0, {}, {}, {}, 0.0, 0, {}};
+  }
 
  private:
   std::string name_;

@@ -17,8 +17,8 @@
 //   setup      edge partitioning / setup shuffle          cat "setup"
 //   iteration  one scatter+gather cycle                   cat "phase"
 //   scatter    one partition's edge scan                  cat "phase"
-//   shuffle    routing buffered updates to partitions     cat "phase"
-//   spill      shuffle + device write of an update batch  cat "phase"
+//   shuffle    in-memory shuffle levels below scatter     cat "phase"
+//   spill      routing + device write of an update batch  cat "phase"
 //   gather     one partition's update drain + apply       cat "phase"
 //   migration  residency promote/evict of one partition   cat "residency"
 //   admission / retirement / resplit   scheduler events   cat "scheduler"

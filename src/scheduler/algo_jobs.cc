@@ -117,7 +117,6 @@ DeviceStoreOptions AttachedStoreOptions(DeviceScanSource& source, const DeviceJo
   opts.async_spill = cfg.async_spill;
   opts.spill_queue_depth = cfg.spill_queue_depth;
   opts.compress_updates = cfg.compress_updates;
-  opts.stage_bytes = cfg.stage_bytes;
   opts.file_prefix = prefix;
   opts.pin_budget_bytes = cfg.pin_budget_bytes;
   opts.residency_hysteresis = cfg.residency_hysteresis;

@@ -66,8 +66,6 @@ struct DeviceJobConfig {
   int spill_queue_depth = 2;
   // Delta+varint compression of the job's spilled update streams.
   bool compress_updates = false;
-  // Per-thread staging for the job's single-stage shuffles; 0 = legacy.
-  size_t stage_bytes = 0;
   // Pinning jobs only (file-resident vertices, tallying scan source):
   uint64_t pin_budget_bytes = 0;  // initial; a scheduler budget overrides it
   // Iterations a partition must win/lose its pin before the incremental

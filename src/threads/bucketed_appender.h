@@ -1,17 +1,17 @@
-// Concurrent record appends into a shared chunk array (paper §4.1).
+// Concurrent record appends into a shared chunk array (paper §4.1), grouped
+// by destination bucket.
 //
 // "Each thread first writes to a private buffer (of size 8K), which is
 // flushed to the shared output chunk array, by first atomically reserving
 // space at the end and then appending the contents of the private buffer."
 //
-// ConcurrentAppender implements exactly that: per-thread 8 KB staging buffers
-// amortize the atomic fetch_add to one per ~8 KB of output.
-//
-// BucketedAppender groups the same staging by destination bucket, so the
-// in-memory engine's scatter emits updates already grouped by partition and
-// needs no separate shuffle pass to group them.
-#ifndef XSTREAM_THREADS_CONCURRENT_APPENDER_H_
-#define XSTREAM_THREADS_CONCURRENT_APPENDER_H_
+// BucketedAppender keeps one such private block per thread and destination
+// bucket, so scatter emits updates already grouped by partition and needs no
+// separate shuffle pass to group them. Both engines scatter through it: the
+// in-memory engine's buckets are its partitions (or the first level of the
+// §4.2 shuffle tree), the device engine's are its streaming partitions.
+#ifndef XSTREAM_THREADS_BUCKETED_APPENDER_H_
+#define XSTREAM_THREADS_BUCKETED_APPENDER_H_
 
 #include <algorithm>
 #include <atomic>
@@ -28,92 +28,9 @@ namespace xstream {
 
 inline constexpr size_t kAppenderStagingBytes = 8 * 1024;
 
-class ConcurrentAppender {
- public:
-  // `target` is the shared chunk array; `record_size` is the fixed record
-  // width. The appender never grows the target: callers size it for the
-  // worst case (one update per edge).
-  ConcurrentAppender(std::span<std::byte> target, size_t record_size, int num_threads)
-      : target_(target),
-        record_size_(record_size),
-        tail_(0),
-        slots_(static_cast<size_t>(num_threads)) {
-    XS_CHECK_GT(record_size, 0u);
-    size_t per_slot_records = kAppenderStagingBytes / record_size;
-    XS_CHECK_GT(per_slot_records, 0u) << "record too large for staging buffer";
-    for (auto& slot : slots_) {
-      slot.staging.resize(per_slot_records * record_size);
-      slot.used = 0;
-    }
-  }
-
-  // Appends one record from thread `tid`. The copy into staging is
-  // record-size bound; the shared atomic is touched only on flush.
-  void Append(int tid, const void* record) {
-    Slot& slot = slots_[static_cast<size_t>(tid)];
-    if (slot.used + record_size_ > slot.staging.size()) {
-      FlushSlot(slot);
-    }
-    std::memcpy(slot.staging.data() + slot.used, record, record_size_);
-    slot.used += record_size_;
-  }
-
-  // Flushes every thread's staging buffer. Must be called (by one thread,
-  // after a join) before the appended region is consumed.
-  void FlushAll() {
-    for (auto& slot : slots_) {
-      if (slot.used > 0) {
-        FlushSlot(slot);
-      }
-    }
-  }
-
-  // Bytes appended so far (valid after FlushAll).
-  size_t bytes() const { return tail_.load(std::memory_order_acquire); }
-  size_t records() const { return bytes() / record_size_; }
-
-  // Empties the appender for reuse over the same target — the spill path
-  // calls this after each drained batch so scatter can refill the buffer
-  // without reconstructing the staging slots. Single-threaded, after a join.
-  void Reset() {
-    tail_.store(0, std::memory_order_release);
-    for (auto& slot : slots_) {
-      slot.used = 0;
-    }
-  }
-
-  // Rewinds the shared tail after the caller compacted the target in place
-  // (single-threaded, after FlushAll; `bytes` must not exceed the current
-  // tail and must be record-aligned).
-  void Rewind(size_t bytes) {
-    XS_CHECK_LE(bytes, tail_.load(std::memory_order_acquire));
-    XS_CHECK_EQ(bytes % record_size_, 0u);
-    tail_.store(bytes, std::memory_order_release);
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::vector<std::byte> staging;
-    size_t used = 0;
-  };
-
-  void FlushSlot(Slot& slot) {
-    size_t offset = tail_.fetch_add(slot.used, std::memory_order_acq_rel);
-    XS_CHECK_LE(offset + slot.used, target_.size()) << "appender overflow";
-    std::memcpy(target_.data() + offset, slot.staging.data(), slot.used);
-    slot.used = 0;
-  }
-
-  std::span<std::byte> target_;
-  size_t record_size_;
-  std::atomic<size_t> tail_;
-  std::vector<Slot> slots_;
-};
-
-// Concurrent appends grouped by bucket. Each thread stages one block per
-// bucket; a full block is flushed to the shared chunk array with one atomic
-// reservation, as in ConcurrentAppender, and recorded as a chunk of its
-// bucket. A bucket's records from one thread therefore keep their append
+// Each thread stages one block per bucket; a full block is flushed to the
+// shared chunk array with one atomic reservation and recorded as a chunk of
+// its bucket. A bucket's records from one thread therefore keep their append
 // order. Blocks are flushed holding exactly the records staged in them, so
 // the target needs room for the appended records only: no per-bucket tally,
 // no slack.
@@ -171,6 +88,83 @@ class BucketedAppender {
   // record ranges of the target (valid after FlushAll).
   const std::vector<std::vector<ChunkList>>& chunks() const { return chunks_; }
 
+  // Calls f(records, count) for each of bucket b's blocks: thread 0's in
+  // flush order, then thread 1's, and so on (valid after FlushAll).
+  template <typename F>
+  void ForEachBlock(uint32_t bucket, F&& f) const {
+    for (const auto& per_thread : chunks_) {
+      for (const ChunkRef& c : per_thread[bucket]) {
+        f(target_.data() + c.begin, c.count);
+      }
+    }
+  }
+
+  // Records in bucket b's flushed blocks.
+  uint64_t BucketRecords(uint32_t bucket) const {
+    uint64_t total = 0;
+    for (const auto& per_thread : chunks_) {
+      for (const ChunkRef& c : per_thread[bucket]) {
+        total += c.count;
+      }
+    }
+    return total;
+  }
+
+  // Removes bucket b's blocks that start at or after `watermark`, handing
+  // each to f(records, count) in ForEachBlock order, then moves the other
+  // buckets' blocks past the watermark down over the gaps, in target order,
+  // and rewinds the tail to just after them. Blocks before the watermark do
+  // not move. Single-threaded, after FlushAll, with `watermark` a tail this
+  // appender had after an earlier FlushAll. Returns the records removed.
+  template <typename F>
+  uint64_t DrainBucket(uint32_t bucket, uint64_t watermark, F&& f) {
+    uint64_t drained = 0;
+    for (auto& per_thread : chunks_) {
+      ChunkList& blocks = per_thread[bucket];
+      // A thread's blocks of one bucket lie in flush order, which is target
+      // order: those past the watermark are a suffix.
+      auto first = std::partition_point(blocks.begin(), blocks.end(), [&](const ChunkRef& c) {
+        return c.begin < watermark;
+      });
+      for (auto it = first; it != blocks.end(); ++it) {
+        f(target_.data() + it->begin, it->count);
+        drained += it->count;
+      }
+      blocks.erase(first, blocks.end());
+    }
+    std::vector<ChunkRef*> later;
+    for (auto& per_thread : chunks_) {
+      for (ChunkList& blocks : per_thread) {
+        for (ChunkRef& c : blocks) {
+          if (c.begin >= watermark) {
+            later.push_back(&c);
+          }
+        }
+      }
+    }
+    std::sort(later.begin(), later.end(),
+              [](const ChunkRef* a, const ChunkRef* b) { return a->begin < b->begin; });
+    uint64_t tail = watermark;
+    for (ChunkRef* c : later) {
+      std::memmove(target_.data() + tail, target_.data() + c->begin, c->count * sizeof(Record));
+      c->begin = tail;
+      tail += c->count;
+    }
+    tail_.store(tail, std::memory_order_release);
+    return drained;
+  }
+
+  // Empties the appender for reuse over the same target, as the device
+  // store does after each spill. Single-threaded, after FlushAll.
+  void Reset() {
+    tail_.store(0, std::memory_order_release);
+    for (auto& per_thread : chunks_) {
+      for (ChunkList& blocks : per_thread) {
+        blocks.clear();
+      }
+    }
+  }
+
  private:
   struct alignas(64) Slot {
     std::vector<Record> staging;  // num_buckets blocks of block_records_
@@ -198,4 +192,4 @@ class BucketedAppender {
 
 }  // namespace xstream
 
-#endif  // XSTREAM_THREADS_CONCURRENT_APPENDER_H_
+#endif  // XSTREAM_THREADS_BUCKETED_APPENDER_H_

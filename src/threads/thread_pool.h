@@ -41,7 +41,7 @@ class ThreadPool {
                    const std::function<void(uint64_t, uint64_t)>& body);
 
   // Like ParallelFor but passes the executing thread id, for bodies that use
-  // per-thread structures (e.g. ConcurrentAppender staging slots).
+  // per-thread structures (e.g. a baseline's per-thread frontier queues).
   void ParallelForTid(uint64_t begin, uint64_t end, uint64_t grain,
                       const std::function<void(int, uint64_t, uint64_t)>& body);
 

@@ -144,6 +144,32 @@ TEST(AttributionDiagnosisTest, SkewedCellsFlagStragglerAndPartitionerHint) {
   EXPECT_TRUE(partitioner_hint);
 }
 
+// The gather hint advises a larger budget so updates stay in RAM; a run
+// whose gather read no update file already has them there.
+TEST(AttributionDiagnosisTest, GatherHintOnlyWhenGatherReadUpdateFiles) {
+  auto memory_budget_hint = [](const obs::AttributionSnapshot& snap) {
+    bool found = false;
+    for (const std::string& h : snap.Diagnose().hints) {
+      found = found || h.find("--memory-budget") != std::string::npos;
+    }
+    return found;
+  };
+  obs::PhaseAccountant acct("gathery", 2);
+  for (uint32_t p = 0; p < 2; ++p) {
+    acct.Record(Phase::kGather, p, 0.6);
+    acct.Record(Phase::kScatter, p, 0.4);
+  }
+  obs::AttributionSnapshot in_ram = acct.Snapshot();
+  EXPECT_EQ(in_ram.Diagnose().bottleneck, Phase::kGather);
+  EXPECT_EQ(in_ram.gather_reads, 0u);
+  EXPECT_FALSE(memory_budget_hint(in_ram)) << obs::ExplainReport(in_ram);
+
+  acct.RecordGatherReadWait(0.0);  // one update file read, with no stall
+  obs::AttributionSnapshot read_back = acct.Snapshot();
+  EXPECT_EQ(read_back.gather_reads, 1u);
+  EXPECT_TRUE(memory_budget_hint(read_back)) << obs::ExplainReport(read_back);
+}
+
 TEST(AttributionRegistryTest, RetiredRingKeepsFinishedAccountants) {
   obs::AttributionRegistry& reg = obs::AttributionRegistry::Global();
   reg.ClearRetired();

@@ -417,6 +417,48 @@ TEST(BucketedScatterTest, PageRankBitIdenticalWithAndWithoutShuffleLevels) {
   }
 }
 
+// ---- Bucketed scatter (device shape) ------------------------------------------
+//
+// Thread t scatters the t-th slice of each chunk, and every consumer reads
+// the buckets' blocks in thread order, then flush order: absorption, the
+// drain, pinned buffers, update-file runs and gather. So PageRank's float
+// sums run in one order on every run at a fixed thread count, whether the
+// updates spill every iteration or stay in memory.
+TEST(BucketedScatterTest, DevicePageRankRepeatsBitIdentically) {
+  EdgeList edges = TestGraph(23, 12);
+  GraphInfo info = ScanEdges(edges);
+  PartitionLayout layout(info.num_vertices, 8);
+  RuntimeHarness<PageRankAlgorithm> h(4);
+  PageRankAlgorithm pr(info.num_vertices, 5);
+  for (bool memory_gather : {false, true}) {
+    SCOPED_TRACE(memory_gather ? "memory gather" : "spill every iteration");
+    DeviceStoreOptions opts;
+    opts.io_unit_bytes = 64 * 1024;
+    opts.allow_vertex_memory_opt = false;  // file-resident vertices: absorption live
+    opts.allow_update_memory_opt = memory_gather;
+    std::vector<float> first;
+    for (int run = 0; run < 6; ++run) {
+      auto states = h.RunDevice(pr, edges, layout, opts);
+      if (memory_gather) {
+        ASSERT_EQ(h.stats.update_file_bytes, 0u);
+      } else {
+        ASSERT_GT(h.stats.update_file_bytes, 0u);
+        ASSERT_GT(h.stats.updates_absorbed, 0u);
+      }
+      std::vector<float> ranks(states.size());
+      for (size_t v = 0; v < states.size(); ++v) {
+        ranks[v] = states[v].rank;
+      }
+      if (run == 0) {
+        first = ranks;
+        continue;
+      }
+      EXPECT_EQ(std::memcmp(ranks.data(), first.data(), first.size() * sizeof(float)), 0)
+          << "run " << run << " differs from run 0";
+    }
+  }
+}
+
 TEST(HybridStoreTest, WccMatchesReferenceAtBudgetsZeroHalfFull) {
   EdgeList edges = TestGraph(23);
   GraphInfo info = ScanEdges(edges);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <random>
@@ -50,7 +51,8 @@ EdgeList TestGraph(uint64_t seed, uint32_t scale = 9) {
 // reference oracles for the test graph.
 struct DeviceHarness {
   explicit DeviceHarness(const EdgeList& graph_edges, uint32_t partitions = 4,
-                         int threads = NumCores(), bool keep_edge_weights = true)
+                         int threads = NumCores(), bool keep_edge_weights = true,
+                         size_t io_unit_bytes = 16 * 1024)
       : pool(threads),
         edges(graph_edges),
         info(ScanEdges(edges)),
@@ -60,7 +62,7 @@ struct DeviceHarness {
         vertex_dev("vertices", DeviceProfile::Instant()) {
     WriteEdgeFile(edge_dev, "input", edges);
     DeviceScanSource::Options sopts;
-    sopts.io_unit_bytes = 16 * 1024;
+    sopts.io_unit_bytes = io_unit_bytes;
     sopts.keep_edge_weights = keep_edge_weights;
     source = std::make_unique<DeviceScanSource>(pool, layout, sopts, edge_dev, "input");
   }
@@ -152,6 +154,32 @@ TEST(SchedulerTest, DeviceJobsMatchReferences) {
   // Per-job stats flowed through: each job streamed edges and has run time.
   EXPECT_GT(wcc->stats.edges_streamed, 0u);
   EXPECT_GT(sched.report(ids[0]).run_seconds, 0.0);
+}
+
+// Jobs sharing one scan see the same chunks, and device scatter splits
+// each chunk among the threads statically, so two identical PageRank jobs
+// sum every vertex's contributions in the same order. The 64 KB I/O unit
+// gives chunks of 5461 edges, large enough to be split among the threads.
+TEST(SchedulerTest, IdenticalDevicePageRankJobsAgreeBitForBit) {
+  EdgeList edges = TestGraph(29, 12);
+  DeviceHarness h(edges, /*partitions=*/8, /*threads=*/4, /*keep_edge_weights=*/true,
+                  /*io_unit_bytes=*/64 * 1024);
+  DeviceJobConfig cfg = h.SpillHeavyConfig();
+  cfg.io_unit_bytes = 64 * 1024;
+  JobScheduler sched(*h.source);
+  std::vector<JobId> ids;
+  auto a = h.Submit(sched, "pagerank:iters=5", cfg, &ids);
+  auto b = h.Submit(sched, "pagerank:iters=5", cfg, &ids);
+  sched.RunAll();
+  for (JobId id : ids) {
+    ASSERT_EQ(sched.Poll(id), JobState::kDone);
+  }
+  ASSERT_EQ(a->per_vertex.size(), h.info.num_vertices);
+  ASSERT_EQ(b->per_vertex.size(), a->per_vertex.size());
+  EXPECT_GT(a->stats.update_file_bytes, 0u);
+  EXPECT_EQ(std::memcmp(a->per_vertex.data(), b->per_vertex.data(),
+                        a->per_vertex.size() * sizeof(double)),
+            0);
 }
 
 TEST(SchedulerTest, MemoryJobsMatchReferences) {

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "buffers/shuffler.h"
-#include "threads/concurrent_appender.h"
+#include "threads/bucketed_appender.h"
 #include "threads/thread_pool.h"
 #include "util/rng.h"
 

@@ -1,13 +1,14 @@
 // Tests for the threading substrate: thread pool, work stealing, and the
-// concurrent appender of paper §4.1.
+// bucketed concurrent appender of paper §4.1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
 #include <vector>
 
-#include "threads/concurrent_appender.h"
+#include "threads/bucketed_appender.h"
 #include "threads/thread_pool.h"
 #include "threads/work_stealing.h"
 
@@ -143,70 +144,6 @@ TEST(WorkStealingTest, DistributeResetsPreviousContent) {
   EXPECT_EQ(items, (std::set<uint32_t>{0, 1, 2, 3}));
 }
 
-TEST(ConcurrentAppenderTest, SingleThreadAppend) {
-  std::vector<std::byte> target(1024);
-  ConcurrentAppender app(target, sizeof(uint32_t), 1);
-  for (uint32_t i = 0; i < 100; ++i) {
-    app.Append(0, &i);
-  }
-  app.FlushAll();
-  EXPECT_EQ(app.records(), 100u);
-  const uint32_t* out = reinterpret_cast<const uint32_t*>(target.data());
-  for (uint32_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(out[i], i);  // single thread preserves order
-  }
-}
-
-TEST(ConcurrentAppenderTest, MultiThreadPreservesMultiset) {
-  constexpr int kThreads = 4;
-  constexpr uint32_t kPerThread = 50000;  // forces many staging flushes
-  std::vector<std::byte> target(kThreads * kPerThread * sizeof(uint32_t));
-  ConcurrentAppender app(target, sizeof(uint32_t), kThreads);
-  ThreadPool pool(kThreads);
-  pool.RunOnAll([&](int tid) {
-    for (uint32_t i = 0; i < kPerThread; ++i) {
-      uint32_t value = static_cast<uint32_t>(tid) * kPerThread + i;
-      app.Append(tid, &value);
-    }
-  });
-  app.FlushAll();
-  ASSERT_EQ(app.records(), static_cast<uint64_t>(kThreads) * kPerThread);
-  std::vector<uint8_t> seen(kThreads * kPerThread, 0);
-  const uint32_t* out = reinterpret_cast<const uint32_t*>(target.data());
-  for (uint64_t i = 0; i < app.records(); ++i) {
-    ASSERT_LT(out[i], seen.size());
-    ++seen[out[i]];
-  }
-  for (uint64_t v = 0; v < seen.size(); ++v) {
-    EXPECT_EQ(seen[v], 1) << v;
-  }
-}
-
-TEST(ConcurrentAppenderTest, ResetAllowsReuse) {
-  std::vector<std::byte> target(64);
-  ConcurrentAppender app(target, sizeof(uint32_t), 1);
-  uint32_t v = 7;
-  app.Append(0, &v);
-  app.FlushAll();
-  EXPECT_EQ(app.records(), 1u);
-  app.Reset();
-  EXPECT_EQ(app.records(), 0u);
-  app.Append(0, &v);
-  app.FlushAll();
-  EXPECT_EQ(app.records(), 1u);
-}
-
-TEST(ConcurrentAppenderTest, OverflowAborts) {
-  std::vector<std::byte> target(8);  // room for 2 records
-  ConcurrentAppender app(target, sizeof(uint32_t), 1);
-  uint32_t v = 1;
-  app.Append(0, &v);
-  app.Append(0, &v);
-  app.FlushAll();
-  app.Append(0, &v);
-  EXPECT_DEATH(app.FlushAll(), "appender overflow");
-}
-
 // A record that remembers its bucket and who appended it, in what order.
 struct Tagged {
   uint32_t bucket;
@@ -282,6 +219,147 @@ TEST(BucketedAppenderTest, SingleThreadChunksPreserveAppendOrder) {
     }
     EXPECT_EQ(got, want) << "bucket " << b;
   }
+}
+
+TEST(BucketedAppenderTest, ResetAllowsReuse) {
+  std::vector<uint32_t> target(4);
+  BucketedAppender<uint32_t> app(target, 1, 2, 1 << 20);
+  app.Append(0, 0, 7);
+  app.Append(0, 1, 8);
+  app.FlushAll();
+  EXPECT_EQ(app.records(), 2u);
+  app.Reset();
+  EXPECT_EQ(app.records(), 0u);
+  EXPECT_TRUE(app.chunks()[0][0].empty());
+  EXPECT_TRUE(app.chunks()[0][1].empty());
+  // The whole target is available again: four more records fit.
+  for (uint32_t i = 0; i < 4; ++i) {
+    app.Append(0, 1, 10 + i);
+  }
+  app.FlushAll();
+  EXPECT_EQ(app.records(), 4u);
+  EXPECT_EQ(app.BucketRecords(0), 0u);
+  ASSERT_EQ(app.chunks()[0][1].size(), 1u);
+  EXPECT_EQ(app.chunks()[0][1][0].begin, 0u);
+  EXPECT_EQ(target, (std::vector<uint32_t>{10, 11, 12, 13}));
+}
+
+// Every record of bucket b, read through the chunk lists in ForEachBlock
+// order (thread by thread, each in flush order).
+std::vector<Tagged> BucketContents(const BucketedAppender<Tagged>& app, uint32_t b) {
+  std::vector<Tagged> out;
+  app.ForEachBlock(b, [&](const Tagged* rec, uint64_t n) { out.insert(out.end(), rec, rec + n); });
+  return out;
+}
+
+bool SameRecords(const std::vector<Tagged>& a, const std::vector<Tagged>& b) {
+  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin(), [](auto& x, auto& y) {
+           return x.bucket == y.bucket && x.tid == y.tid && x.seq == y.seq;
+         });
+}
+
+// The device store's end-of-partition drain: bucket b's blocks at or after
+// the watermark leave in flush order, the rest are compacted behind the
+// watermark with their records and relative order intact, and the tail
+// rewinds to the end of what is left.
+TEST(BucketedAppenderTest, DrainBucketRemovesOnlyLaterBlocksOfItsBucket) {
+  constexpr int kThreads = 3;
+  constexpr uint32_t kBuckets = 4;
+  std::vector<Tagged> target(40000);
+  // 64-byte blocks (5 records): many blocks per bucket and thread.
+  BucketedAppender<Tagged> app(target, kThreads, kBuckets, 256);
+  ThreadPool pool(kThreads);
+  std::vector<uint32_t> seq(kThreads, 0);
+  auto append_round = [&](uint32_t per_thread) {
+    pool.RunOnAll([&](int tid) {
+      for (uint32_t i = 0; i < per_thread; ++i) {
+        uint32_t& n = seq[static_cast<size_t>(tid)];
+        Tagged r{(n * 7 + static_cast<uint32_t>(tid)) % kBuckets, static_cast<uint32_t>(tid), n};
+        ++n;
+        app.Append(tid, r.bucket, r);
+      }
+    });
+    app.FlushAll();
+  };
+  append_round(3000);
+  const uint64_t watermark = app.records();
+  std::vector<std::vector<ChunkList>> before_chunks = app.chunks();
+  std::vector<Tagged> before_target(target.begin(), target.begin() + watermark);
+  append_round(2000);
+
+  constexpr uint32_t kDrained = 2;
+  std::vector<std::vector<Tagged>> want(kBuckets);
+  std::vector<Tagged> want_drained;
+  for (uint32_t b = 0; b < kBuckets; ++b) {
+    std::vector<Tagged> all = BucketContents(app, b);
+    if (b != kDrained) {
+      want[b] = all;
+      continue;
+    }
+    // Per thread, the blocks past the watermark, in flush order.
+    for (int t = 0; t < kThreads; ++t) {
+      for (const ChunkRef& c : app.chunks()[t][b]) {
+        if (c.begin >= watermark) {
+          want_drained.insert(want_drained.end(), target.begin() + c.begin,
+                              target.begin() + c.begin + c.count);
+        } else {
+          want[b].insert(want[b].end(), target.begin() + c.begin,
+                         target.begin() + c.begin + c.count);
+        }
+      }
+    }
+  }
+  const uint64_t total = app.records();
+
+  std::vector<Tagged> drained;
+  uint64_t n = app.DrainBucket(kDrained, watermark, [&](const Tagged* rec, uint64_t count) {
+    drained.insert(drained.end(), rec, rec + count);
+  });
+  EXPECT_EQ(n, want_drained.size());
+  EXPECT_TRUE(SameRecords(drained, want_drained));
+  EXPECT_EQ(app.records(), total - n);
+  for (uint32_t b = 0; b < kBuckets; ++b) {
+    EXPECT_TRUE(SameRecords(BucketContents(app, b), want[b])) << "bucket " << b;
+  }
+  // Blocks before the watermark neither moved nor changed.
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint32_t b = 0; b < kBuckets; ++b) {
+      const ChunkList& old_blocks = before_chunks[t][b];
+      const ChunkList& blocks = app.chunks()[t][b];
+      ASSERT_GE(blocks.size(), old_blocks.size());
+      for (size_t i = 0; i < old_blocks.size(); ++i) {
+        EXPECT_EQ(blocks[i].begin, old_blocks[i].begin);
+        EXPECT_EQ(blocks[i].count, old_blocks[i].count);
+      }
+    }
+  }
+  EXPECT_TRUE(SameRecords(std::vector<Tagged>(target.begin(), target.begin() + watermark),
+                          before_target));
+  // The surviving blocks tile [0, tail) exactly, and bucket kDrained keeps
+  // none past the watermark.
+  std::vector<uint8_t> covered(app.records(), 0);
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint32_t b = 0; b < kBuckets; ++b) {
+      for (const ChunkRef& c : app.chunks()[t][b]) {
+        ASSERT_LE(c.begin + c.count, app.records());
+        if (b == kDrained) {
+          EXPECT_LT(c.begin, watermark);
+        }
+        for (uint64_t i = c.begin; i < c.begin + c.count; ++i) {
+          ASSERT_EQ(covered[i]++, 0) << "blocks overlap at record " << i;
+        }
+      }
+    }
+  }
+  for (uint64_t i = 0; i < covered.size(); ++i) {
+    ASSERT_EQ(covered[i], 1) << "record slot " << i << " not in any block";
+  }
+  // Appends continue from the rewound tail.
+  const uint64_t tail = app.records();
+  app.Append(0, kDrained, Tagged{kDrained, 0, 999999});
+  app.FlushAll();
+  EXPECT_EQ(app.records(), tail + 1);
+  EXPECT_EQ(app.chunks()[0][kDrained].back().begin, tail);
 }
 
 TEST(BucketedAppenderTest, OverflowAborts) {
