@@ -1,7 +1,9 @@
 // Ablations of X-Stream's design choices (DESIGN.md §5) beyond the paper's
 // own sweeps (Fig 24 partitions, Fig 25 shuffle stages):
-//   1. Work stealing (§4.1): on a skewed graph, static partition assignment
-//      leaves threads idle while one thread drains the hub partition.
+//   1. Work stealing (§4.1): on a skewed graph, static round-robin
+//      assignment leaves threads idle while one thread gathers the hub
+//      partition (scatter's items are bounded edge runs, so they deal out
+//      evenly either way).
 //   2. The §3.2 memory optimizations: disabling the update short-circuit
 //      and the memory-resident vertex array adds storage traffic.
 //   3. The §3.3 TRIM discipline: deferring update-file truncation raises
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
     double with = InMemWcc(skewed, info.num_vertices, threads, true, &steals);
     uint64_t no_steals = 0;
     double without = InMemWcc(skewed, info.num_vertices, threads, false, &no_steals);
-    Table t({"Work stealing", "WCC (s)", "partition steals"});
+    Table t({"Work stealing", "WCC (s)", "steals"});
     t.AddRow({"enabled", FormatDouble(with, 3), std::to_string(steals)});
     t.AddRow({"disabled (static)", FormatDouble(without, 3), std::to_string(no_steals)});
     t.Print();

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   std::printf("result: %llu weakly connected components\n",
               static_cast<unsigned long long>(result.num_components));
   std::printf("run: %llu iterations, %s edges streamed, %.0f%% of them 'wasted' "
-              "(no update sent), %llu partition steals\n",
+              "(no update sent), %llu steals\n",
               static_cast<unsigned long long>(result.stats.iterations),
               HumanCount(result.stats.edges_streamed).c_str(),
               result.stats.WastedEdgePercent(),

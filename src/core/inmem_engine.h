@@ -4,11 +4,14 @@
 // design goals from the paper, and where they land here:
 //
 //  * Partition count: chosen so the vertex *footprint* (state + edge +
-//    update bytes) of each partition fits the per-core CPU cache (§4).
+//    update bytes) of each partition fits the per-core CPU cache (§4), and
+//    raised toward 16 per thread on graphs large enough that gather's work
+//    stealing needs the smaller partitions (core/sizing.h).
 //  * Stream buffers owned by MemoryStreamStore (core/stream_store.h): one
 //    holding the (partitioned) edges, one collecting generated updates, and
 //    shuffle scratch only when the partitions outnumber the fanout.
-//  * Parallel scatter-gather over partitions with work stealing (§4.1);
+//  * Parallel scatter-gather with work stealing (§4.1): scatter steals
+//    runs of at most kScatterItemEdges edges, gather whole partitions;
 //    update appends go through thread-private staging blocks, one per
 //    destination bucket, flushed by atomic reservation (BucketedAppender).
 //  * Multi-stage shuffler over per-thread slices with a fanout bounded by
@@ -53,8 +56,9 @@ struct InMemoryConfig {
   size_t cache_bytes = 0;     // 0 = probe the host (per-core L2)
   uint32_t num_partitions = 0;  // 0 = auto (§4); otherwise forced (Fig 24)
   uint32_t shuffle_fanout = 0;  // 0 = auto from cachelines (§4.2); Fig 25
-  // Ablation: false = static round-robin partition assignment (paper §4.1
-  // argues stealing is needed because partitions have skewed edge counts).
+  // Ablation: false = static round-robin assignment of scatter's edge runs
+  // and gather's partitions (paper §4.1 argues stealing is needed because
+  // partitions have skewed edge counts).
   bool enable_work_stealing = true;
   bool keep_iteration_log = true;
   // Optional streaming partitioner (src/partitioning/). Null keeps the
@@ -82,7 +86,8 @@ class InMemoryEngine {
     uint32_t k = config.num_partitions > 0
                      ? RoundUpPow2(config.num_partitions)
                      : ChooseInMemoryPartitions(num_vertices_, sizeof(VertexState),
-                                                sizeof(Edge), sizeof(Update), cache);
+                                                sizeof(Edge), sizeof(Update), cache,
+                                                pool_.num_threads(), num_edges_);
     PartitionLayout layout;
     if (config.partitioner != nullptr) {
       auto mapping = std::make_shared<VertexMapping>(

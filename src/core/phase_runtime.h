@@ -16,11 +16,14 @@
 // selected statically by the store's kPartitionParallel trait:
 //
 //  * Partition-parallel (MemoryStreamStore, §4): partitions are cache-sized
-//    and plentiful, so scatter and gather run partitions concurrently under
-//    work stealing. The buckets are the first level of the §4.2 multi-stage
-//    shuffle: with at most `fanout` partitions they are the partitions and
-//    no shuffle pass runs; with more, only the tree levels below the first
-//    run between scatter and gather.
+//    and plentiful, so scatter and gather run concurrently under work
+//    stealing. Scatter's work items are runs of at most kScatterItemEdges
+//    edges, so one heavy partition spreads over every thread; gather's are
+//    whole partitions, since each owns its vertices. The buckets are the
+//    first level of the §4.2 multi-stage shuffle: with at most `fanout`
+//    partitions they are the partitions and no shuffle pass runs; with
+//    more, only the tree levels below the first run between scatter and
+//    gather.
 //  * Partition-sequential (DeviceStreamStore, §3): one partition's streams
 //    are loaded at a time; parallelism lives inside each loaded chunk (§4.3
 //    layering). The buckets are the partitions, and every consumer reads
@@ -49,6 +52,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "buffers/shuffler.h"
@@ -94,8 +98,8 @@ struct CheckpointHeader {
 static_assert(std::is_trivially_copyable_v<CheckpointHeader>);
 
 struct PhaseDriverOptions {
-  // Partition-parallel shape only: false = static round-robin assignment
-  // (the §4.1 work-stealing ablation).
+  // Partition-parallel shape only: false = static round-robin assignment of
+  // the work items (the §4.1 work-stealing ablation).
   bool enable_work_stealing = true;
   bool keep_iteration_log = true;
   // Registry prefix for the driver's live progress gauges
@@ -411,7 +415,8 @@ class StreamingPhaseDriver {
         // The buckets are the partitions: gather reads each partition's
         // blocks where scatter flushed them.
         GatherPartitionParallel(
-            algo, [&](uint32_t p, auto&& gather) { appender.ForEachBlock(p, gather); });
+            algo, [&](uint32_t p) { return appender.BucketRecords(p); },
+            [&](uint32_t p, auto&& gather) { appender.ForEachBlock(p, gather); });
       } else {
         const PartitionLayout& layout = store_.layout();
         ShuffleOutput<Update> shuffled;
@@ -428,11 +433,13 @@ class StreamingPhaseDriver {
               CeilLog2(layout.num_partitions()) - bucket_shift_,
               [&layout](const Update& u) { return layout.PartitionOf(u.dst); });
         }
-        GatherPartitionParallel(algo, [&](uint32_t p, auto&& gather) {
-          for (const auto& slice : shuffled.slices) {
-            gather(shuffled.data + slice[p].begin, slice[p].count);
-          }
-        });
+        GatherPartitionParallel(
+            algo, [&](uint32_t p) { return shuffled.PartitionRecords(p); },
+            [&](uint32_t p, auto&& gather) {
+              for (const auto& slice : shuffled.slices) {
+                gather(shuffled.data + slice[p].begin, slice[p].count);
+              }
+            });
       }
       stats_.streaming_seconds += streaming_.TotalSeconds();
     } else {
@@ -527,6 +534,41 @@ class StreamingPhaseDriver {
     if constexpr (requires(Store& s) { s.CaptureDeviceBaselines(); }) {
       store_.CaptureDeviceBaselines();
     }
+  }
+
+  // ---- Partition-parallel scatter work items (§4.1) -----------------------
+
+  // A run of at most kScatterItemEdges edges of one partition, inside one of
+  // its setup-shuffle chunks: `begin` indexes the store's edge chunk array
+  // (MemoryStreamStore::VisitEdgeChunks). Any thread may scatter any item:
+  // its appender blocks are its own, and scatter only reads source states.
+  struct ScatterItem {
+    uint32_t partition = 0;
+    uint64_t begin = 0;
+    uint64_t count = 0;
+  };
+
+  // Replaces `items` with this iteration's scatter work: the chunks of every
+  // partition PartitionNeedsScatter accepts, cut into items, in partition,
+  // slice and edge order.
+  void BuildScatterItems(std::vector<ScatterItem>& items) const
+    requires(Store::kPartitionParallel)
+  {
+    items.clear();
+    store_.VisitEdgeChunks([&](const auto& chunks) {
+      for (uint32_t p = 0; p < store_.layout().num_partitions(); ++p) {
+        if (!PartitionNeedsScatter(p)) {
+          continue;
+        }
+        for (const auto& slice : chunks.slices) {
+          const ChunkRef& c = slice[p];
+          for (uint64_t lo = 0; lo < c.count; lo += kScatterItemEdges) {
+            items.push_back({p, c.begin + lo, std::min(kScatterItemEdges, c.count - lo)});
+          }
+        }
+      }
+    });
+    XS_CHECK_LE(items.size(), uint64_t{UINT32_MAX});
   }
 
   // ---- Checkpointing ------------------------------------------------------
@@ -706,46 +748,48 @@ class StreamingPhaseDriver {
 
   // ---- Partition-parallel shape (memory store, §4) ------------------------
 
-  // Scatter phase: stream every partition's edge chunks concurrently under
-  // work stealing, appending updates to the shared update buffer grouped by
-  // destination bucket.
+  // Scatter phase: scatter every accepted partition's edges concurrently, in
+  // work items stolen edge run by edge run, appending updates to the shared
+  // update buffer grouped by destination bucket. Each item times itself
+  // into its partition's cell.
   void ScatterAllPartitionsParallel(Algo& algo)
     requires(Store::kPartitionParallel)
   {
-    const PartitionLayout& layout = store_.layout();
     ThreadPool& pool = store_.pool();
     ScatterAppender& appender = *scatter_appender_;
+    BuildScatterItems(scatter_items_);
     std::atomic<uint64_t> edges_streamed{0};
     std::atomic<uint64_t> wasted{0};
-    queues_.Distribute(layout.num_partitions());
+    std::vector<double> busy(static_cast<size_t>(pool.num_threads()), 0.0);
+    queues_.Distribute(static_cast<uint32_t>(scatter_items_.size()));
     {
       ScopedInterval si(streaming_);
       obs::TraceSpan span("scatter");
-      // Section wall on the driving thread; per-partition busy time (which
-      // sums to thread-seconds across the workers) as cells, so the skew
-      // index sees each partition's true cost under work stealing.
-      obs::PhaseTimer section(&accountant_, obs::Phase::kScatter, obs::kNoPartition,
-                              obs::PhaseTimerMode::kWallOnly);
+      WallTimer section;
       const VertexState* states = store_.resident_states();
-      pool.RunOnAll([&](int tid) {
-        uint64_t local_edges = 0;
-        uint64_t local_wasted = 0;
-        uint32_t p = 0;
-        while (queues_.Pop(tid, p, opts_.enable_work_stealing)) {
-          if (!PartitionNeedsScatter(p)) {
-            continue;
+      store_.VisitEdgeChunks([&](const auto& chunks) {
+        pool.RunOnAll([&](int tid) {
+          uint64_t local_edges = 0;
+          uint64_t local_wasted = 0;
+          double local_busy = 0.0;
+          uint32_t i = 0;
+          while (queues_.Pop(tid, i, opts_.enable_work_stealing)) {
+            const ScatterItem& item = scatter_items_[i];
+            WallTimer timer;
+            local_wasted +=
+                ScatterSpan(algo, chunks.data + item.begin, item.count, states, 0, tid, appender);
+            local_edges += item.count;
+            const double seconds = timer.Seconds();
+            accountant_.RecordCell(obs::Phase::kScatter, item.partition, seconds);
+            local_busy += seconds;
           }
-          obs::PhaseTimer cell(&accountant_, obs::Phase::kScatter, p,
-                               obs::PhaseTimerMode::kCellOnly);
-          store_.ForEachEdgeChunk(p, [&](const auto* es, uint64_t n) {
-            local_wasted += ScatterSpan(algo, es, n, states, 0, tid, appender);
-            local_edges += n;
-          });
-        }
-        edges_streamed.fetch_add(local_edges, std::memory_order_relaxed);
-        wasted.fetch_add(local_wasted, std::memory_order_relaxed);
+          busy[static_cast<size_t>(tid)] = local_busy;
+          edges_streamed.fetch_add(local_edges, std::memory_order_relaxed);
+          wasted.fetch_add(local_wasted, std::memory_order_relaxed);
+        });
       });
       appender.FlushAll();
+      RecordParallelSection(obs::Phase::kScatter, section.Seconds(), busy);
     }
     cur_iter_.edges_streamed = edges_streamed.load();
     cur_iter_.wasted_edges = wasted.load();
@@ -754,29 +798,38 @@ class StreamingPhaseDriver {
   // Gather phase: stream each partition's update chunks into its vertex
   // states; EndVertex and the activity flag run per partition right after
   // its gather (legal because gather only touches the partition's own
-  // vertices).
-  // for_each_chunk(p, gather) calls gather(updates, count) once per chunk of
-  // partition p.
-  template <typename ForEachChunk>
-  void GatherPartitionParallel(Algo& algo, ForEachChunk&& for_each_chunk)
+  // vertices). Partitions are dealt out heaviest first, by update count, so
+  // the items left to steal when the phase drains are the lightest; the
+  // order cannot change a result, since partitions share no vertex.
+  // records(p) is partition p's update count; for_each_chunk(p, gather)
+  // calls gather(updates, count) once per chunk of partition p.
+  template <typename Records, typename ForEachChunk>
+  void GatherPartitionParallel(Algo& algo, Records&& records, ForEachChunk&& for_each_chunk)
     requires(Store::kPartitionParallel)
   {
     const PartitionLayout& layout = store_.layout();
     ThreadPool& pool = store_.pool();
     std::atomic<uint64_t> changed{0};
+    std::vector<double> busy(static_cast<size_t>(pool.num_threads()), 0.0);
+    std::vector<std::pair<uint64_t, uint32_t>> by_weight(layout.num_partitions());
+    for (uint32_t p = 0; p < layout.num_partitions(); ++p) {
+      by_weight[p] = {records(p), p};
+    }
+    std::stable_sort(by_weight.begin(), by_weight.end(),
+                     [](const auto& a, const auto& b) { return a.first > b.first; });
     queues_.Distribute(layout.num_partitions());
     {
       ScopedInterval si(streaming_);
       obs::TraceSpan span("gather");
-      obs::PhaseTimer section(&accountant_, obs::Phase::kGather, obs::kNoPartition,
-                              obs::PhaseTimerMode::kWallOnly);
+      WallTimer section;
       VertexState* states = store_.resident_states();
       pool.RunOnAll([&](int tid) {
         uint64_t local_changed = 0;
-        uint32_t p = 0;
-        while (queues_.Pop(tid, p, opts_.enable_work_stealing)) {
-          obs::PhaseTimer cell(&accountant_, obs::Phase::kGather, p,
-                               obs::PhaseTimerMode::kCellOnly);
+        double local_busy = 0.0;
+        uint32_t i = 0;
+        while (queues_.Pop(tid, i, opts_.enable_work_stealing)) {
+          const uint32_t p = by_weight[i].second;
+          WallTimer timer;
           if (cur_iter_.updates_generated > 0) {
             for_each_chunk(p, [&](const Update* us, uint64_t count) {
               for (uint64_t i = 0; i < count; ++i) {
@@ -792,11 +845,29 @@ class StreamingPhaseDriver {
             }
           }
           NoteActivity(algo, p, states + layout.Begin(p));
+          const double seconds = timer.Seconds();
+          accountant_.RecordCell(obs::Phase::kGather, p, seconds);
+          local_busy += seconds;
         }
+        busy[static_cast<size_t>(tid)] = local_busy;
         changed.fetch_add(local_changed, std::memory_order_relaxed);
       });
+      RecordParallelSection(obs::Phase::kGather, section.Seconds(), busy);
     }
     cur_iter_.vertices_changed = changed.load();
+  }
+
+  // Charges one partition-parallel section: its wall time on the driving
+  // thread, and the thread-seconds the pool's threads sat idle in it
+  // (threads x wall - the items' busy time), which is what a straggler
+  // costs.
+  void RecordParallelSection(obs::Phase ph, double wall, const std::vector<double>& busy) {
+    double total = 0.0;
+    for (double b : busy) {
+      total += b;
+    }
+    accountant_.RecordWall(ph, wall);
+    accountant_.RecordIdle(ph, static_cast<double>(busy.size()) * wall - total);
   }
 
   // ---- Partition-sequential shape (device store, §3) ----------------------
@@ -954,8 +1025,10 @@ class StreamingPhaseDriver {
   WallTimer progress_clock_;  // driver lifetime, for cumulative bytes/s
 
   // Partition-parallel shape: scatter's bucket is the destination partition
-  // shifted right by this (0 when the buckets are the partitions).
+  // shifted right by this (0 when the buckets are the partitions), and the
+  // scatter work items, rebuilt each iteration into one allocation.
   uint32_t bucket_shift_ = 0;
+  std::vector<ScatterItem> scatter_items_;
   // In-flight iteration state for the drivable scatter pieces (RunIteration
   // and the scheduler's shared-scan mode alike).
   std::unique_ptr<ScatterAppender> scatter_appender_;

@@ -21,13 +21,16 @@ uint32_t RoundUpPow2(uint64_t x) {
 }
 
 uint32_t ChooseInMemoryPartitions(uint64_t num_vertices, size_t state_bytes, size_t edge_bytes,
-                                  size_t update_bytes, size_t cache_bytes,
-                                  uint32_t max_partitions) {
+                                  size_t update_bytes, size_t cache_bytes, int threads,
+                                  uint64_t num_edges, uint32_t max_partitions) {
   XS_CHECK_GT(cache_bytes, 0u);
+  XS_CHECK_GT(threads, 0);
   uint64_t footprint =
       num_vertices * static_cast<uint64_t>(state_bytes + edge_bytes + update_bytes);
   uint64_t needed = (footprint + cache_bytes - 1) / cache_bytes;
-  uint32_t k = RoundUpPow2(std::max<uint64_t>(1, needed));
+  uint64_t balance =
+      std::min<uint64_t>(16 * static_cast<uint64_t>(threads), num_edges / kScatterItemEdges);
+  uint32_t k = RoundUpPow2(std::max<uint64_t>({1, needed, balance}));
   return std::min(k, std::max(1u, max_partitions));
 }
 

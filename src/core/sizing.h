@@ -3,7 +3,9 @@
 // X-Stream "automatically picks the number of streaming partitions for
 // in-memory and out-of-core graphs, using the amount of main memory and the
 // cache size as inputs. It also automatically picks the shuffler fanout for
-// in-memory graphs, using the number of cache lines as input."
+// in-memory graphs, using the number of cache lines as input." In memory the
+// thread count and the edge count are inputs too: they decide how many
+// partitions gather's work stealing (§4.1) needs.
 #ifndef XSTREAM_CORE_SIZING_H_
 #define XSTREAM_CORE_SIZING_H_
 
@@ -12,6 +14,11 @@
 
 namespace xstream {
 
+// Edges in one in-memory scatter work item (core/phase_runtime.h): scatter
+// hands out each partition's edges in runs of at most this many, so a
+// partition holding a third of the edges still spreads over every thread.
+inline constexpr uint64_t kScatterItemEdges = uint64_t{1} << 16;
+
 // In-memory engine (§4): the number of partitions is a power of two chosen
 // so that each partition's vertex *footprint* fits the per-core cache. The
 // footprint counts vertex state plus one edge and one update per vertex-ish
@@ -19,11 +26,20 @@ namespace xstream {
 // streamed records must pass through the cache without evicting the states.
 //
 //   footprint = num_vertices * (state_bytes + edge_bytes + update_bytes)
-//   partitions = round_pow2_up(footprint / cache_bytes), clamped to
-//   [1, max_partitions].
+//   cache rule = footprint / cache_bytes
+//
+// Gather stays one destination partition per work item, so a skewed graph
+// needs more, smaller partitions than the cache rule asks for before every
+// thread has items to steal (§4.1): the count is raised toward 16 per
+// thread, but never past one scatter item of edges per partition, so small
+// graphs keep the cache rule.
+//
+//   partitions = round_pow2_up(max(cache rule,
+//                                  min(16 * threads, num_edges / kScatterItemEdges))),
+//   clamped to [1, max_partitions].
 uint32_t ChooseInMemoryPartitions(uint64_t num_vertices, size_t state_bytes, size_t edge_bytes,
-                                  size_t update_bytes, size_t cache_bytes,
-                                  uint32_t max_partitions = 1u << 20);
+                                  size_t update_bytes, size_t cache_bytes, int threads,
+                                  uint64_t num_edges, uint32_t max_partitions = 1u << 20);
 
 // Out-of-core engine (§3.4): with N = total vertex state bytes, M = memory
 // budget and S = the I/O unit needed to reach streaming bandwidth, the

@@ -32,7 +32,7 @@ struct RunStats {
   uint64_t updates_generated = 0;
   uint64_t wasted_edges = 0;
   uint64_t updates_absorbed = 0;  // see IterationStats::updates_absorbed
-  uint64_t steals = 0;  // partitions obtained by work stealing
+  uint64_t steals = 0;  // work items (scatter edge runs, gather partitions) stolen
 
   double setup_seconds = 0.0;      // partitioning the unordered edge list
   double compute_seconds = 0.0;    // wall time of the iteration loop

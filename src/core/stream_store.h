@@ -210,19 +210,29 @@ inline void PartitionEdgeFileToParts(ThreadPool& pool, const PartitionLayout& la
                          weights, stage_bytes);
 }
 
+// What an edge-file scan cost its thread outside the consumer: the seconds
+// spent waiting on reads the prefetch did not hide (a storage wait), and the
+// seconds spent widening pair chunks (scatter's input work).
+struct EdgeScanSeconds {
+  double read_wait = 0.0;
+  double widen = 0.0;
+};
+
 // Streams one partitioned edge file as `const Edge*` chunks of at most
 // EdgeChunkEdges(io_unit_bytes) edges (prefetch distance 1). A pair file
 // reads 8 bytes per edge and widens each chunk in place, in the reader's
-// own buffer, with weight 0. Returns the seconds spent waiting on reads.
+// own buffer, with weight 0.
 template <typename F>
-double StreamEdgeFile(StorageDevice& dev, FileId file, size_t io_unit_bytes, bool weights,
-                      F&& f) {
+EdgeScanSeconds StreamEdgeFile(StorageDevice& dev, FileId file, size_t io_unit_bytes,
+                               bool weights, F&& f) {
   const uint64_t chunk_edges = EdgeChunkEdges(io_unit_bytes);
   const size_t record = EdgeRecordBytes(weights);
   StreamReader reader(dev, file, chunk_edges * record, chunk_edges * sizeof(Edge));
+  EdgeScanSeconds spent;
   for (auto chunk = reader.Next(); !chunk.empty(); chunk = reader.Next()) {
     const uint64_t n = chunk.size() / record;
     if (!weights) {
+      WallTimer widen;
       // Back to front: pair i is read before Edge i's slot, which starts at
       // or after it, is written, and every pair before i lies below it.
       for (uint64_t i = n; i-- > 0;) {
@@ -231,10 +241,12 @@ double StreamEdgeFile(StorageDevice& dev, FileId file, size_t io_unit_bytes, boo
         const Edge e = ToEdge(pair);
         std::memcpy(chunk.data() + i * sizeof(Edge), &e, sizeof(e));
       }
+      spent.widen += widen.Seconds();
     }
     f(reinterpret_cast<const Edge*>(chunk.data()), n);
   }
-  return reader.wait_seconds();
+  spent.read_wait = reader.wait_seconds();
+  return spent;
 }
 
 // ---------------------------------------------------------------------------
@@ -477,8 +489,8 @@ class MemoryStreamStore {
   // What a solo store keeps per edge; shared-edges stores read the scan
   // source's Edges.
   using EdgeRecord = StoredEdge<Algo>;
-  // Partitions are cache-sized and many: scatter/gather parallelize across
-  // partitions with work stealing (§4.1).
+  // Partitions are cache-sized and many: scatter and gather run them
+  // concurrently under work stealing (§4.1), scatter in runs of edges.
   static constexpr bool kPartitionParallel = true;
 
   // Shuffles the unordered edges straight from `edges` into per-partition
@@ -549,21 +561,16 @@ class MemoryStreamStore {
     return shared_edges_ != nullptr ? sizeof(Edge) : sizeof(EdgeRecord);
   }
 
-  // Scatter inputs: calls f(records, count) for each of partition p's
-  // setup-shuffle chunks, one per slice. The records are the stored ones —
-  // EdgeRecord in solo mode, the scan source's Edges in shared mode.
+  // Scatter inputs: calls f(chunks) once with the setup shuffle's output,
+  // where chunks.slices[t][p] locates partition p's edges from slice t in
+  // chunks.data. The records are the stored ones — EdgeRecord in solo mode,
+  // the scan source's Edges in shared mode.
   template <typename F>
-  void ForEachEdgeChunk(uint32_t p, F&& f) const {
-    auto visit = [&](const auto& chunks) {
-      for (const auto& slice : chunks.slices) {
-        const ChunkRef& c = slice[p];
-        f(chunks.data + c.begin, c.count);
-      }
-    };
+  void VisitEdgeChunks(F&& f) const {
     if (shared_edges_ != nullptr) {
-      visit(shared_edges_->chunks);
+      f(shared_edges_->chunks);
     } else {
-      visit(edge_chunks_);
+      f(edge_chunks_);
     }
   }
 
@@ -1264,6 +1271,9 @@ class DeviceStreamStore {
       return;
     }
     uint32_t s = absorb_partition_;
+    // Scatter's output path, charged like scatter (as the spill's
+    // absorption is).
+    obs::PhaseTimer drain_pt(acct_, obs::Phase::kScatter, s);
     appender.FlushAll();
     VertexId drain_base = layout_.Begin(s);
     uint64_t drained =
@@ -1274,6 +1284,7 @@ class DeviceStreamStore {
             }
           }
         });
+    drain_pt.Stop();
     if (drained > 0) {
       drained_updates_ += drained;
       observed_updates_[s] += drained;
@@ -1538,10 +1549,11 @@ class DeviceStreamStore {
 
   template <typename F>
   void StreamPartitionEdges(uint32_t s, F&& f) {
-    double waited = StreamEdgeFile(edge_dev_, edge_files_[s], opts_.io_unit_bytes,
-                                   edge_weights_, std::forward<F>(f));
+    EdgeScanSeconds spent = StreamEdgeFile(edge_dev_, edge_files_[s], opts_.io_unit_bytes,
+                                           edge_weights_, std::forward<F>(f));
     if (acct_ != nullptr) {
-      acct_->Record(obs::Phase::kScanIo, s, waited);
+      acct_->Record(obs::Phase::kScanIo, s, spent.read_wait);
+      acct_->Record(obs::Phase::kScatter, s, spent.widen);
     }
   }
 

@@ -14,9 +14,9 @@ constexpr const char* kPhaseNames[kPhaseCount] = {
     "scatter", "shuffle", "spill_wait", "gather", "scan_io", "migration",
 };
 
-// Skew above this (max partition busy time vs the mean) is called out as a
-// partitioning problem in the diagnosis.
-constexpr double kSkewHintThreshold = 1.5;
+// A partition-parallel phase whose threads sat idle for at least this share
+// of their time there earns the straggler hint.
+constexpr double kIdleHintThreshold = 0.1;
 // Phases holding at least this share of accounted time earn a hint.
 constexpr double kHintShareThreshold = 0.2;
 
@@ -92,6 +92,13 @@ void WriteDiagnosisJson(JsonWriter& w, const AttributionDiagnosis& d) {
     w.Field("straggler_partition", static_cast<uint64_t>(d.straggler_partition));
   }
   w.EndObject();
+  w.Key("idle_share").BeginObject();
+  for (int ph = 0; ph < kPhaseCount; ++ph) {
+    if (d.idle_share[ph] > 0.0) {
+      w.Field(kPhaseNames[ph], d.idle_share[ph]);
+    }
+  }
+  w.EndObject();
   w.Key("hints").BeginArray();
   for (const std::string& h : d.hints) {
     w.Value(h);
@@ -123,6 +130,13 @@ void WriteSnapshotJson(JsonWriter& w, const AttributionSnapshot& snap) {
   for (int ph = 0; ph < kPhaseCount; ++ph) {
     if (snap.unattributed[ph] > 0.0) {
       w.Field(kPhaseNames[ph], snap.unattributed[ph]);
+    }
+  }
+  w.EndObject();
+  w.Key("idle_thread_seconds").BeginObject();
+  for (int ph = 0; ph < kPhaseCount; ++ph) {
+    if (snap.idle[ph] > 0.0) {
+      w.Field(kPhaseNames[ph], snap.idle[ph]);
     }
   }
   w.EndObject();
@@ -231,6 +245,13 @@ AttributionDiagnosis AttributionSnapshot::Diagnose() const {
     }
   }
 
+  for (int ph = 0; ph < kPhaseCount; ++ph) {
+    if (idle[ph] > 0.0) {
+      d.idle_share[ph] =
+          idle[ph] / (idle[ph] + CellTotal(static_cast<Phase>(ph)) + unattributed[ph]);
+    }
+  }
+
   // Hints: every phase holding a meaningful share, in rank order; the
   // bottleneck always speaks even when its share is small. A gather that
   // read no update file already had every update in RAM: a larger budget
@@ -243,13 +264,27 @@ AttributionDiagnosis AttributionSnapshot::Diagnose() const {
       d.hints.push_back(PhaseHint(d.ranked[i].phase, d.ranked[i].share));
     }
   }
-  if (d.skew_max_mean >= kSkewHintThreshold) {
-    char buf[160];
+  // Straggler hint: a partition-parallel phase whose threads sat idle,
+  // naming its heaviest partition. More, smaller partitions are the one
+  // remedy measured to help.
+  for (int ph = 0; ph < kPhaseCount; ++ph) {
+    const Phase phase = static_cast<Phase>(ph);
+    const double busy = CellTotal(phase);
+    if (d.idle_share[ph] < kIdleHintThreshold || busy <= 0.0) {
+      continue;
+    }
+    uint32_t heaviest = 0;
+    for (uint32_t p = 1; p < num_partitions; ++p) {
+      if (Cell(phase, p) > Cell(phase, heaviest)) {
+        heaviest = p;
+      }
+    }
+    char buf[192];
     std::snprintf(buf, sizeof(buf),
-                  "partition skew %.2fx max/mean (straggler: partition %u): try "
-                  "--partitioner=greedy or --partitioner=2ps, or raise --partitions",
-                  d.skew_max_mean,
-                  d.straggler_partition == kNoPartition ? 0u : d.straggler_partition);
+                  "%s threads sat idle %s of their time (heaviest: partition %u, %s of "
+                  "the phase's busy time): raise --partitions",
+                  kPhaseNames[ph], Pct(d.idle_share[ph]).c_str(), heaviest,
+                  Pct(Cell(phase, heaviest) / busy).c_str());
     d.hints.push_back(buf);
   }
   return d;
@@ -306,6 +341,16 @@ std::string ExplainReport(const AttributionSnapshot& snap) {
                   d.straggler_partition == kNoPartition ? 0u : d.straggler_partition);
     out += buf;
   }
+  std::string idle;
+  for (int ph = 0; ph < kPhaseCount; ++ph) {
+    if (snap.idle[ph] > 0.0) {
+      idle += std::string(idle.empty() ? "" : ", ") + kPhaseNames[ph] + " " +
+              Pct(d.idle_share[ph]);
+    }
+  }
+  if (!idle.empty()) {
+    out += "  idle threads: " + idle + " of thread time in parallel sections\n";
+  }
   if (!d.hints.empty()) {
     out += "  hints:\n";
     for (const std::string& h : d.hints) {
@@ -344,6 +389,14 @@ void PhaseAccountant::RecordWall(Phase ph, double seconds) {
     return;
   }
   wall_ns_[static_cast<int>(ph)].fetch_add(ns, std::memory_order_relaxed);
+}
+
+void PhaseAccountant::RecordIdle(Phase ph, double thread_seconds) {
+  uint64_t ns = ToNs(thread_seconds);
+  if (ns == 0) {
+    return;
+  }
+  idle_ns_[static_cast<int>(ph)].fetch_add(ns, std::memory_order_relaxed);
 }
 
 void PhaseAccountant::RecordGatherReadWait(double seconds) {
@@ -392,6 +445,7 @@ void PhaseAccountant::Reset() {
   for (int ph = 0; ph < kPhaseCount; ++ph) {
     wall_ns_[ph].store(0, std::memory_order_relaxed);
     unattributed_ns_[ph].store(0, std::memory_order_relaxed);
+    idle_ns_[ph].store(0, std::memory_order_relaxed);
     iter_base_[ph] = 0.0;
   }
   gather_read_wait_ns_.store(0, std::memory_order_relaxed);
@@ -414,6 +468,7 @@ AttributionSnapshot PhaseAccountant::Snapshot() const {
     snap.wall[ph] = static_cast<double>(wall_ns_[ph].load(std::memory_order_relaxed)) * 1e-9;
     snap.unattributed[ph] =
         static_cast<double>(unattributed_ns_[ph].load(std::memory_order_relaxed)) * 1e-9;
+    snap.idle[ph] = static_cast<double>(idle_ns_[ph].load(std::memory_order_relaxed)) * 1e-9;
   }
   snap.gather_read_wait_seconds =
       static_cast<double>(gather_read_wait_ns_.load(std::memory_order_relaxed)) * 1e-9;

@@ -21,7 +21,10 @@
 // I/O-vs-compute verdict) and per-partition *cell* seconds (busy time spent
 // on each partition by whichever thread — in the partition-sequential shape
 // identical to wall, in the partition-parallel shape summing to aggregate
-// thread-seconds — these drive the straggler/skew index).
+// thread-seconds — these drive the skew index). Partition-parallel sections
+// also record the thread-seconds their threads sat idle, and only that idle
+// share, not the skew of the cells, earns the straggler hint: partitions of
+// unequal size cost nothing while every thread still has work.
 //
 // Accountants register themselves in a process-global AttributionRegistry so
 // the HTTP exporter's GET /attribution and the CLI's --explain report can
@@ -78,6 +81,10 @@ struct AttributionDiagnosis {
   double skew_max_mean = 0.0;
   double skew_p99_p50 = 0.0;
   uint32_t straggler_partition = kNoPartition;
+  // Per phase, idle / (idle + busy) thread time over its partition-parallel
+  // sections; 0 for phases that recorded no idle time (the
+  // partition-sequential shape runs one partition at a time).
+  std::array<double, kPhaseCount> idle_share{};
   // Actionable, flag-level advice derived from the ranking and the skew
   // index (the hint table lives in docs/observability.md).
   std::vector<std::string> hints;
@@ -90,6 +97,8 @@ struct AttributionSnapshot {
   std::array<double, kPhaseCount> wall{};  // wall seconds per phase
   std::vector<double> cells;               // [phase * k + partition] busy seconds
   std::array<double, kPhaseCount> unattributed{};
+  // Thread-seconds idle inside partition-parallel sections, per phase.
+  std::array<double, kPhaseCount> idle{};
   double gather_read_wait_seconds = 0.0;  // subset of wall[kGather]
   uint64_t gather_reads = 0;              // update files gather read
   // Per-iteration wall deltas (ring-capped; `iterations` keeps the true
@@ -138,6 +147,10 @@ class PhaseAccountant {
     RecordCell(ph, partition, seconds);
     RecordWall(ph, seconds);
   }
+  // Thread-seconds a partition-parallel section of this phase left its
+  // threads idle: threads x its wall time, minus the busy time its cells
+  // received.
+  void RecordIdle(Phase ph, double thread_seconds);
   // Gather-side read stalls (a subset of the gather phase, split out so the
   // I/O-bound verdict can count it as a wait), one call per update file
   // gather read: the calls are counted too, so the diagnosis knows whether
@@ -162,6 +175,7 @@ class PhaseAccountant {
   std::vector<std::atomic<uint64_t>> cells_;  // kPhaseCount * k_, nanoseconds
   std::array<std::atomic<uint64_t>, kPhaseCount> wall_ns_{};
   std::array<std::atomic<uint64_t>, kPhaseCount> unattributed_ns_{};
+  std::array<std::atomic<uint64_t>, kPhaseCount> idle_ns_{};
   std::atomic<uint64_t> gather_read_wait_ns_{0};
   std::atomic<uint64_t> gather_reads_{0};
   std::atomic<uint64_t> iterations_{0};
@@ -253,12 +267,13 @@ class PhaseAccountant {
   void RecordCell(Phase, uint32_t, double) {}
   void RecordWall(Phase, double) {}
   void Record(Phase, uint32_t, double) {}
+  void RecordIdle(Phase, double) {}
   void RecordGatherReadWait(double) {}
   void BeginIteration(uint64_t) {}
   void EndIteration() {}
   void Reset() {}
   AttributionSnapshot Snapshot() const {
-    return AttributionSnapshot{name_, 0, 0, {}, {}, {}, 0.0, 0, {}};
+    return AttributionSnapshot{name_, 0, 0, {}, {}, {}, {}, 0.0, 0, {}};
   }
 
  private:

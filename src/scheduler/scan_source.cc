@@ -57,9 +57,10 @@ DeviceScanSource::DeviceScanSource(ThreadPool& pool, PartitionLayout layout,
 
 void DeviceScanSource::StreamPartition(uint32_t s,
                                        const std::function<void(const Edge*, uint64_t)>& f) {
-  acct_.Record(obs::Phase::kScanIo, s,
-               StreamEdgeFile(edge_dev_, edge_files_[s], opts_.io_unit_bytes,
-                              opts_.keep_edge_weights, f));
+  EdgeScanSeconds spent =
+      StreamEdgeFile(edge_dev_, edge_files_[s], opts_.io_unit_bytes, opts_.keep_edge_weights, f);
+  acct_.Record(obs::Phase::kScanIo, s, spent.read_wait);
+  acct_.Record(obs::Phase::kScatter, s, spent.widen);
 }
 
 void DeviceScanSource::ForEachEdgeChunk(uint32_t s,

@@ -1,13 +1,14 @@
-// Work-stealing queues of streaming partitions (paper §4.1).
+// Work-stealing queues of work items (paper §4.1).
 //
 // "Executing streaming partitions in parallel can lead to significant
 // workload imbalance as the partitions can have different numbers of edges
 // assigned to them. We therefore implemented work stealing in X-Stream,
 // allowing threads to steal streaming partitions from each other."
 //
-// Each thread owns a deque of partition ids; it pops from the front of its
-// own deque and steals from the back of a victim's. Partition granularity is
-// coarse (at most a few thousand per run), so a per-queue mutex is cheap.
+// Each thread owns a deque of item ids — in-memory scatter's bounded edge
+// runs, gather's partitions — and pops from the front of its own deque and
+// steals from the back of a victim's. Items are coarse (a few hundred to a
+// few thousand per phase), so a per-queue mutex is cheap.
 #ifndef XSTREAM_THREADS_WORK_STEALING_H_
 #define XSTREAM_THREADS_WORK_STEALING_H_
 

@@ -3,7 +3,7 @@
 // diagnosis (ranking, I/O-vs-compute verdict, hints, skew index), the
 // registry's retired ring, reconciliation of the attribution matrix against
 // RunStats across all three engine modes, a deliberately skewed range
-// partitioning tripping the straggler index, and the profiler capturing
+// partitioning naming its hot partition, and the profiler capturing
 // samples under a spinning workload and alongside IoExecutor threads.
 #include <gtest/gtest.h>
 
@@ -128,20 +128,63 @@ TEST(AttributionDiagnosisTest, SpillDominantRunIsIoBoundWithSpillHint) {
   EXPECT_NE(report.find("I/O-bound"), std::string::npos) << report;
 }
 
-TEST(AttributionDiagnosisTest, SkewedCellsFlagStragglerAndPartitionerHint) {
+bool HasStragglerHint(const obs::AttributionDiagnosis& diag) {
+  bool found = false;
+  for (const std::string& h : diag.hints) {
+    found = found || h.find("--partitions") != std::string::npos;
+  }
+  return found;
+}
+
+// Partitions of unequal size cost nothing while every thread has work: the
+// skew index reports them, but only idle threads earn the straggler hint.
+TEST(AttributionDiagnosisTest, SkewedCellsWithoutIdleThreadsGiveNoStragglerHint) {
   obs::PhaseAccountant acct("skewed", 4);
-  acct.Record(Phase::kScatter, 2, 0.9);
-  acct.Record(Phase::kScatter, 0, 0.05);
-  acct.Record(Phase::kScatter, 1, 0.05);
-  acct.Record(Phase::kScatter, 3, 0.05);
+  acct.RecordCell(Phase::kScatter, 2, 0.9);
+  acct.RecordCell(Phase::kScatter, 0, 0.05);
+  acct.RecordCell(Phase::kScatter, 1, 0.05);
+  acct.RecordCell(Phase::kScatter, 3, 0.05);
+  acct.RecordWall(Phase::kScatter, 0.2625);  // 4 threads x 0.2625 s = the cells
   obs::AttributionDiagnosis diag = acct.Snapshot().Diagnose();
   EXPECT_GE(diag.skew_max_mean, 1.5);
   EXPECT_EQ(diag.straggler_partition, 2u);
-  bool partitioner_hint = false;
+  EXPECT_EQ(diag.idle_share[static_cast<int>(Phase::kScatter)], 0.0);
+  EXPECT_FALSE(HasStragglerHint(diag)) << obs::ExplainReport(acct.Snapshot());
   for (const std::string& h : diag.hints) {
-    partitioner_hint = partitioner_hint || h.find("--partitioner") != std::string::npos;
+    EXPECT_EQ(h.find("--partitioner"), std::string::npos) << h;
   }
-  EXPECT_TRUE(partitioner_hint);
+}
+
+TEST(AttributionDiagnosisTest, IdleThreadsFlagTheStragglerPhaseAndPartition) {
+  obs::PhaseAccountant acct("straggling", 4);
+  acct.RecordCell(Phase::kScatter, 0, 0.2);
+  acct.RecordCell(Phase::kScatter, 1, 0.2);
+  acct.RecordCell(Phase::kScatter, 2, 0.2);
+  acct.RecordCell(Phase::kScatter, 3, 0.2);
+  acct.RecordCell(Phase::kGather, 0, 0.9);
+  acct.RecordCell(Phase::kGather, 1, 0.1);
+  acct.RecordWall(Phase::kScatter, 0.2);
+  acct.RecordWall(Phase::kGather, 0.9);
+  // Gather: 4 threads x 0.9 s wall, 1.0 s busy.
+  acct.RecordIdle(Phase::kGather, 4 * 0.9 - 1.0);
+  obs::AttributionSnapshot snap = acct.Snapshot();
+  obs::AttributionDiagnosis diag = snap.Diagnose();
+  EXPECT_NEAR(diag.idle_share[static_cast<int>(Phase::kGather)], 2.6 / 3.6, 1e-6);
+  EXPECT_EQ(diag.idle_share[static_cast<int>(Phase::kScatter)], 0.0);
+  std::vector<std::string> straggler;
+  for (const std::string& h : diag.hints) {
+    if (h.find("--partitions") != std::string::npos) {
+      straggler.push_back(h);
+    }
+  }
+  ASSERT_EQ(straggler.size(), 1u) << obs::ExplainReport(snap);
+  EXPECT_EQ(straggler[0].rfind("gather", 0), 0u) << straggler[0];
+  EXPECT_NE(straggler[0].find("partition 0"), std::string::npos) << straggler[0];
+  EXPECT_EQ(straggler[0].find("--partitioner"), std::string::npos) << straggler[0];
+  std::string report = obs::ExplainReport(snap);
+  EXPECT_NE(report.find("idle threads: gather 72%"), std::string::npos) << report;
+  EXPECT_NE(snap.ToJson().find("\"idle_share\":{\"gather\":"), std::string::npos)
+      << snap.ToJson();
 }
 
 // The gather hint advises a larger budget so updates stay in RAM; a run
@@ -284,7 +327,7 @@ TEST(AttributionReconcileTest, HybridWaitsMatchRunStats) {
 
 // ---- Skew index on a deliberately imbalanced range partitioning -------------
 
-TEST(AttributionSkewTest, ImbalancedRangePartitioningFlagsTheHotPartition) {
+TEST(AttributionSkewTest, ImbalancedRangePartitioningNamesTheHotPartition) {
   // Range layout over 256 vertices in 4 partitions puts ids [0,64) in
   // partition 0; concentrate ~98% of the edges there.
   EdgeList edges;
@@ -309,14 +352,14 @@ TEST(AttributionSkewTest, ImbalancedRangePartitioningFlagsTheHotPartition) {
   ASSERT_EQ(engine.num_partitions(), 4u);
   RunPageRank(engine, 5);
 
+  // Whether threads sat idle waiting on it depends on the host's
+  // scheduling; which partition is heaviest does not.
   obs::AttributionDiagnosis diag = engine.driver().accountant().Snapshot().Diagnose();
-  EXPECT_GE(diag.skew_max_mean, 1.5) << "hot partition not visible in cells";
   EXPECT_EQ(diag.straggler_partition, 0u);
-  bool partitioner_hint = false;
-  for (const std::string& h : diag.hints) {
-    partitioner_hint = partitioner_hint || h.find("--partitioner") != std::string::npos;
+  for (Phase ph : {Phase::kScatter, Phase::kGather}) {
+    EXPECT_GE(diag.idle_share[static_cast<int>(ph)], 0.0) << obs::PhaseName(ph);
+    EXPECT_LE(diag.idle_share[static_cast<int>(ph)], 1.0) << obs::PhaseName(ph);
   }
-  EXPECT_TRUE(partitioner_hint);
 }
 
 // ---- Sampling profiler ------------------------------------------------------

@@ -2,6 +2,7 @@
 // for the core algorithms, across graph families and configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -12,6 +13,7 @@
 #include "graph/generators.h"
 #include "graph/reference.h"
 #include "storage/sim_device.h"
+#include "util/rng.h"
 
 namespace xstream {
 namespace {
@@ -571,6 +573,93 @@ TEST(InMemEngineTest, DeterministicAcrossRuns) {
   InMemoryEngine<WccAlgorithm> e1(SmallInMemConfig(2), edges, info.num_vertices);
   InMemoryEngine<WccAlgorithm> e2(SmallInMemConfig(4), edges, info.num_vertices);
   EXPECT_EQ(RunWcc(e1).labels, RunWcc(e2).labels);
+}
+
+// ---------------------------------------------------------------- work items
+
+// A hub graph whose range partition 0 of 8 holds ~78% of the edge records
+// (symmetric, so WCC and BFS see an undirected graph): 150K random pairs
+// inside partition 0's vertices plus 50K pairs over the whole graph. At 4
+// threads each of partition 0's four setup slices holds more than one
+// scatter item, so several threads scatter its edges at once.
+EdgeList HubGraph(uint32_t num_vertices) {
+  EdgeList edges;
+  Rng rng(41);
+  auto add_pair = [&](VertexId a, VertexId b) {
+    // Integer weights: every path length is exact in float and double.
+    float w = 1.0f + static_cast<float>(rng.NextBounded(8));
+    edges.push_back(Edge{a, b, w});
+    edges.push_back(Edge{b, a, w});
+  };
+  const uint32_t hub = num_vertices / 8;
+  for (int i = 0; i < 150'000; ++i) {
+    add_pair(static_cast<VertexId>(rng.NextBounded(hub)),
+             static_cast<VertexId>(rng.NextBounded(hub)));
+  }
+  for (int i = 0; i < 50'000; ++i) {
+    add_pair(static_cast<VertexId>(rng.NextBounded(num_vertices)),
+             static_cast<VertexId>(rng.NextBounded(num_vertices)));
+  }
+  PermuteEdges(edges, 43);
+  return edges;
+}
+
+// The relative bound the repository benchmark's oracle holds PageRank to:
+// float sums run in a thread-dependent order.
+constexpr double kPageRankTolerance = 1e-3;
+
+TEST(InMemEngineTest, HubPartitionResultsMatchReferenceWithAndWithoutStealing) {
+  const uint32_t n = 1 << 14;
+  EdgeList edges = HubGraph(n);
+  const uint64_t hub_edges = static_cast<uint64_t>(std::count_if(
+      edges.begin(), edges.end(), [&](const Edge& e) { return e.src < n / 8; }));
+  ASSERT_GT(hub_edges, edges.size() / 2);
+  ASSERT_GT(hub_edges, 4 * kScatterItemEdges);
+  ReferenceGraph g(edges, n);
+  std::vector<VertexId> wcc = ReferenceWcc(edges, n);
+  std::vector<uint32_t> bfs = ReferenceBfsLevels(g, 0);
+  std::vector<double> sssp = ReferenceSssp(g, 0);
+  std::vector<double> ranks = ReferencePageRank(g, 5);
+  for (bool stealing : {true, false}) {
+    SCOPED_TRACE(stealing ? "stealing" : "static");
+    InMemoryConfig config = SmallInMemConfig(4, 8);
+    config.enable_work_stealing = stealing;
+    {
+      InMemoryEngine<WccAlgorithm> engine(config, edges, n);
+      ASSERT_EQ(engine.num_partitions(), 8u);
+      EXPECT_EQ(RunWcc(engine).labels, wcc);
+    }
+    {
+      InMemoryEngine<BfsAlgorithm> engine(config, edges, n);
+      EXPECT_EQ(RunBfs(engine, 0).levels, bfs);
+    }
+    {
+      InMemoryEngine<SsspAlgorithm> engine(config, edges, n);
+      SsspResult result = RunSssp(engine, 0);
+      for (VertexId v = 0; v < n; ++v) {
+        if (std::isinf(sssp[v])) {
+          EXPECT_TRUE(std::isinf(result.dist[v])) << "vertex " << v;
+        } else {
+          EXPECT_EQ(result.dist[v], sssp[v]) << "vertex " << v;
+        }
+      }
+    }
+    {
+      InMemoryEngine<PageRankAlgorithm> engine(config, edges, n);
+      PageRankResult result = RunPageRank(engine, 5);
+      for (VertexId v = 0; v < n; ++v) {
+        EXPECT_NEAR(result.ranks[v], ranks[v], kPageRankTolerance * ranks[v]) << "vertex " << v;
+      }
+    }
+  }
+}
+
+TEST(InMemEngineTest, HubPartitionWccLabelsIdenticalAtOneAndFourThreads) {
+  const uint32_t n = 1 << 14;
+  EdgeList edges = HubGraph(n);
+  InMemoryEngine<WccAlgorithm> one(SmallInMemConfig(1, 8), edges, n);
+  InMemoryEngine<WccAlgorithm> four(SmallInMemConfig(4, 8), edges, n);
+  EXPECT_EQ(RunWcc(one).labels, RunWcc(four).labels);
 }
 
 TEST(OocEngineTest, AutoPartitionCountRespectsBudgetInequality) {

@@ -417,6 +417,86 @@ TEST(BucketedScatterTest, PageRankBitIdenticalWithAndWithoutShuffleLevels) {
   }
 }
 
+// ---- Scatter work items (memory shape) -----------------------------------------
+//
+// The partition-parallel scatter steals runs of at most kScatterItemEdges
+// edges, not whole partitions. Its items must cover every accepted
+// partition's edges exactly once and leave every rejected partition out.
+template <typename Algo>
+void ExpectItemsCoverAcceptedPartitions(
+    const StreamingPhaseDriver<Algo, MemoryStreamStore<Algo>>& driver,
+    const MemoryStreamStore<Algo>& store) {
+  using Driver = StreamingPhaseDriver<Algo, MemoryStreamStore<Algo>>;
+  std::vector<typename Driver::ScatterItem> items;
+  driver.BuildScatterItems(items);
+  const uint32_t k = store.layout().num_partitions();
+  store.VisitEdgeChunks([&](const auto& chunks) {
+    uint64_t end = 0;
+    uint64_t nonempty_chunks = 0;
+    for (const auto& slice : chunks.slices) {
+      for (uint32_t p = 0; p < k; ++p) {
+        end = std::max(end, slice[p].begin + slice[p].count);
+        nonempty_chunks += driver.PartitionNeedsScatter(p) && slice[p].count > 0 ? 1 : 0;
+      }
+    }
+    std::vector<uint32_t> hits(end, 0);
+    for (const auto& item : items) {
+      ASSERT_LT(item.partition, k);
+      EXPECT_TRUE(driver.PartitionNeedsScatter(item.partition)) << item.partition;
+      EXPECT_GT(item.count, 0u);
+      EXPECT_LE(item.count, kScatterItemEdges);
+      // Inside one of its partition's chunks.
+      bool inside = false;
+      for (const auto& slice : chunks.slices) {
+        const ChunkRef& c = slice[item.partition];
+        inside = inside || (item.begin >= c.begin && item.begin + item.count <= c.begin + c.count);
+      }
+      EXPECT_TRUE(inside) << "item at " << item.begin << " of partition " << item.partition;
+      for (uint64_t i = item.begin; i < item.begin + item.count && i < end; ++i) {
+        ++hits[i];
+      }
+    }
+    for (const auto& slice : chunks.slices) {
+      for (uint32_t p = 0; p < k; ++p) {
+        const uint32_t want = driver.PartitionNeedsScatter(p) ? 1 : 0;
+        for (uint64_t i = slice[p].begin; i < slice[p].begin + slice[p].count; ++i) {
+          ASSERT_EQ(hits[i], want) << "partition " << p << ", edge " << i;
+        }
+      }
+    }
+    // The graph is large enough that some chunk was cut into several items.
+    EXPECT_GT(items.size(), nonempty_chunks);
+  });
+}
+
+TEST(ScatterItemsTest, ItemsCoverAcceptedPartitionsExactlyOnce) {
+  EdgeList edges = TestGraph(29, 15);  // 2^15 vertices, 2^19 edge records
+  GraphInfo info = ScanEdges(edges);
+  ThreadPool pool(2);
+  PartitionLayout layout(info.num_vertices, 4);
+  {
+    // PageRank has no Active hook: every partition scatters.
+    MemoryStreamStore<PageRankAlgorithm> store(pool, layout, 4, edges);
+    StreamingPhaseDriver<PageRankAlgorithm, MemoryStreamStore<PageRankAlgorithm>> driver(store,
+                                                                                         {});
+    PageRankAlgorithm algo(info.num_vertices, 5);
+    driver.InitVertices(algo);
+    ExpectItemsCoverAcceptedPartitions(driver, store);
+  }
+  {
+    // BFS from vertex 0: after Init only partition 0, RMAT's heaviest,
+    // holds an active vertex, so the other three yield no item.
+    MemoryStreamStore<BfsAlgorithm> store(pool, layout, 4, edges);
+    StreamingPhaseDriver<BfsAlgorithm, MemoryStreamStore<BfsAlgorithm>> driver(store, {});
+    BfsAlgorithm algo(0);
+    driver.InitVertices(algo);
+    for (uint32_t p = 0; p < 4; ++p) {
+      EXPECT_EQ(driver.PartitionNeedsScatter(p), p == 0) << p;
+    }
+    ExpectItemsCoverAcceptedPartitions(driver, store);
+  }
+}
+
 // ---- Bucketed scatter (device shape) ------------------------------------------
 //
 // Thread t scatters the t-th slice of each chunk, and every consumer reads

@@ -17,7 +17,7 @@ TEST(RoundUpPow2Test, Values) {
 
 TEST(InMemorySizingTest, PartitionFootprintFitsCache) {
   // 1M vertices, 8B state, 12B edge, 8B update => 28MB footprint.
-  uint32_t k = ChooseInMemoryPartitions(1 << 20, 8, 12, 8, 2 << 20);
+  uint32_t k = ChooseInMemoryPartitions(1 << 20, 8, 12, 8, 2 << 20, 1, 16ull << 20);
   // 28MB / 2MB = 14 -> 16 partitions.
   EXPECT_EQ(k, 16u);
   // Each partition's footprint now fits the cache.
@@ -26,12 +26,33 @@ TEST(InMemorySizingTest, PartitionFootprintFitsCache) {
 }
 
 TEST(InMemorySizingTest, SmallGraphGetsOnePartition) {
-  EXPECT_EQ(ChooseInMemoryPartitions(1000, 8, 12, 8, 2 << 20), 1u);
+  EXPECT_EQ(ChooseInMemoryPartitions(1000, 8, 12, 8, 2 << 20, 1, 10000), 1u);
 }
 
 TEST(InMemorySizingTest, RespectsMaxPartitions) {
-  uint32_t k = ChooseInMemoryPartitions(1ull << 30, 256, 12, 256, 1 << 10, 1 << 12);
+  uint32_t k =
+      ChooseInMemoryPartitions(1ull << 30, 256, 12, 256, 1 << 10, 1, 16ull << 30, 1 << 12);
   EXPECT_LE(k, 1u << 12);
+}
+
+// RMAT-20 (1M vertices, 33.5M edge records) at 4 threads: the cache rule
+// asks for 16 partitions, and gather's work stealing gets 16 per thread.
+TEST(InMemorySizingTest, ThreadsRaiseTheCountOnLargeGraphs) {
+  EXPECT_EQ(ChooseInMemoryPartitions(1 << 20, 8, 12, 8, 2 << 20, 4, 33'554'432), 64u);
+  // One thread has no one to steal from: the cache rule stands.
+  EXPECT_EQ(ChooseInMemoryPartitions(1 << 20, 8, 12, 8, 2 << 20, 1, 33'554'432), 16u);
+}
+
+// Each partition keeps at least one scatter item of edges, so small graphs
+// keep the cache rule whatever the thread count.
+TEST(InMemorySizingTest, SmallGraphsKeepTheCacheRuleAtAnyThreadCount) {
+  EXPECT_EQ(ChooseInMemoryPartitions(1000, 8, 12, 8, 2 << 20, 4, 10'000), 1u);
+  EXPECT_EQ(ChooseInMemoryPartitions(1 << 20, 8, 12, 8, 2 << 20, 64, 20 * kScatterItemEdges),
+            32u);
+}
+
+TEST(InMemorySizingTest, MaxPartitionsCapsTheThreadRule) {
+  EXPECT_EQ(ChooseInMemoryPartitions(1 << 20, 8, 12, 8, 2 << 20, 4, 33'554'432, 32), 32u);
 }
 
 TEST(OutOfCoreSizingTest, InequalityHolds) {
