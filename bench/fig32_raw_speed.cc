@@ -1,19 +1,15 @@
-// Fig 32 (extension beyond the paper): the raw-speed pass — io_uring
-// storage backend, cache-aware shuffle staging, and delta+varint compressed
-// update streams, ablated independently on real files.
+// Fig 32 (extension beyond the paper): the raw-speed pass — cache-aware
+// shuffle staging and delta+varint compressed update streams, ablated
+// independently on real files.
 //
 // The paper's whole bet is that edge-centric streaming turns graph
 // processing into a raw sequential-bandwidth problem (§3.3); this bench
-// measures the three knobs this repo adds on the raw-speed side of that
-// bet, each against its own off-switch on the same out-of-core BFS /
-// PageRank runs:
+// measures the knobs this repo adds on the raw-speed side of that bet, each
+// against its own off-switch on the same out-of-core BFS / PageRank runs.
+// A posix BFS leg with both knobs off is the baseline of both parts. (Part
+// A, a transport ablation, was retired with the transport it measured;
+// docs/benchmarks.md records why.)
 //
-//   A. --io-backend: PosixDevice (synchronous pread/pwrite on the I/O
-//      thread) vs UringDevice (waves of sliced io_uring SQEs with
-//      registered buffers). Results must be identical; wall time is
-//      recorded for trending. When the kernel or sandbox rejects
-//      io_uring_setup the leg still runs through the loud fallback and the
-//      uring_* metrics report 0.
 //   B. --stage-bytes: legacy fused counting shuffle vs the cache-sized
 //      staging pass, in the setup edge shuffle (spills run no shuffle).
 //      Output is byte-identical by construction, so the gate is exact
@@ -24,7 +20,7 @@
 //      whose constant-per-wave payloads collapse into const-payload frames.
 //
 // Unlike the Sim-device figures, this bench runs on real files in scratch
-// directories: the transports under test are real syscall paths. Threads
+// directories, so the spills under test are real syscall paths. Threads
 // are pinned to 2 so the shuffle slice boundaries — and with them the exact
 // byte metrics — are machine-independent.
 #include "bench_common.h"
@@ -38,13 +34,11 @@
 #include "obs/metrics.h"
 #include "partitioning/partitioner.h"
 #include "storage/posix_device.h"
-#include "storage/uring_device.h"
 
 namespace xstream {
 namespace {
 
 struct LegConfig {
-  bool uring = false;
   bool compress = false;
   size_t stage_bytes = 0;
 };
@@ -65,27 +59,19 @@ struct BenchInput {
   int threads = 2;  // pinned: slice boundaries feed the exact byte metrics
 };
 
-std::unique_ptr<PosixDevice> MakeDevice(bool uring, const std::string& name,
-                                        const std::string& root) {
-  if (uring) {
-    return std::make_unique<UringDevice>(name, root);
-  }
-  return std::make_unique<PosixDevice>(name, root);
-}
-
 // Runs one out-of-core leg on real files; Algo is constructed by `make_algo`
 // and its principal output extracted by `extract`.
 template <typename Algo, typename MakeAlgo, typename Extract>
 LegResult RunLeg(const BenchInput& in, const LegConfig& leg, MakeAlgo make_algo,
                  Extract extract, uint64_t max_iters) {
   ScratchDir edir("fig32-edges"), udir("fig32-updates"), vdir("fig32-vertices");
-  auto edge_dev = MakeDevice(leg.uring, "edges", edir.path());
-  auto update_dev = MakeDevice(leg.uring, "updates", udir.path());
-  auto vertex_dev = MakeDevice(leg.uring, "vertices", vdir.path());
-  WriteEdgeFile(*edge_dev, "fig32.input", in.edges);
+  PosixDevice edge_dev("edges", edir.path());
+  PosixDevice update_dev("updates", udir.path());
+  PosixDevice vertex_dev("vertices", vdir.path());
+  WriteEdgeFile(edge_dev, "fig32.input", in.edges);
 
   // The 2ps relabeling is what gives the delta-varint id column its
-  // locality; every leg uses it so the comparison isolates the transport.
+  // locality; every leg uses it so the comparison isolates the knob.
   PartitionerOptions popts;
   popts.seed = 1;
   std::unique_ptr<Partitioner> partitioner = MakePartitioner("2ps", popts);
@@ -103,15 +89,14 @@ LegResult RunLeg(const BenchInput& in, const LegConfig& leg, MakeAlgo make_algo,
   config.partitioner = partitioner.get();
   config.file_prefix = "fig32";
 
-  HybridEngine<Algo> engine(config, *edge_dev, *update_dev, *vertex_dev, "fig32.input",
-                            in.info);
+  HybridEngine<Algo> engine(config, edge_dev, update_dev, vertex_dev, "fig32.input", in.info);
   Algo algo = make_algo();
   WallTimer timer;
   RunStats stats = engine.Run(algo, max_iters);
   LegResult out;
   out.wall = timer.Seconds();
   out.update_file_bytes = stats.update_file_bytes;
-  out.update_written = update_dev->stats().bytes_written;
+  out.update_written = update_dev.stats().bytes_written;
   out.result.resize(in.info.num_vertices);
   engine.VertexMap([&out, &extract](VertexId v, const typename Algo::VertexState& s) {
     out.result[v] = extract(s);
@@ -153,9 +138,8 @@ int main(int argc, char** argv) {
   using namespace xstream;
   Options opts(argc, argv);
   BenchHeader("Figure 32",
-              "Raw-speed pass: io_uring backend, cache-sized shuffle staging, "
-              "compressed update streams",
-              "each pillar is result-invariant against its off-switch; staging leaves the "
+              "Raw-speed pass: cache-sized shuffle staging, compressed update streams",
+              "each knob is result-invariant against its off-switch; staging leaves the "
               "routed update volume bit-identical; delta+varint compression writes >= 2x "
               "fewer update-device bytes on relabeled BFS");
 
@@ -182,52 +166,29 @@ int main(int argc, char** argv) {
                   FormatDouble(static_cast<double>(r.update_written) / (1 << 20), 2), note});
   };
 
-  // ---- A: storage backend ------------------------------------------------
-  const bool uring_available = UringDevice::Supported();
-  std::printf("part A: posix vs uring backend (io_uring %s)\n",
-              uring_available ? "available" : "unavailable: loud-fallback leg");
+  // ---- Baseline: posix BFS with both knobs off ---------------------------
   LegResult posix_bfs = RunBfsLeg(in, LegConfig{});
-  LegConfig uring_leg;
-  uring_leg.uring = true;
-  LegResult uring_bfs = RunBfsLeg(in, uring_leg);
   add_row("bfs / posix", posix_bfs, "baseline");
-  add_row("bfs / uring", uring_bfs, uring_available ? "io_uring waves" : "fallback (no ring)");
-
-  bool backend_equal = posix_bfs.result == uring_bfs.result;
-  if (!backend_equal) {
-    std::printf("FAIL: uring backend changed the BFS levels\n");
-    ok = false;
-  }
-  json.Exact("backend_results_equal", backend_equal ? 1 : 0);
-  json.Info("uring_available", uring_available ? 1 : 0);
   json.Info("posix_bfs_wall_seconds", posix_bfs.wall);
-  json.Info("uring_bfs_wall_seconds", uring_bfs.wall);
-  // Always emitted (0 when the ring is unavailable) so the baseline metric
-  // set is machine-independent: bench_diff fails on vanished metrics.
-  auto& reg = obs::MetricsRegistry::Global();
-  json.Info("uring_sqes", static_cast<double>(reg.counter("io.uring.sqes").Value()));
-  json.Info("uring_bytes", static_cast<double>(reg.counter("io.uring.bytes").Value()));
-  json.Info("uring_fallback_ops",
-            static_cast<double>(reg.counter("io.uring.fallback_ops").Value()));
 
   // ---- B: cache-sized shuffle staging ------------------------------------
-  std::printf("\npart B: setup edge shuffle, legacy fused counting vs cache-sized "
+  std::printf("part B: setup edge shuffle, legacy fused counting vs cache-sized "
               "staging (auto stage bytes = %s)\n",
               HumanBytes(DefaultShuffleStageBytes()).c_str());
   LegConfig staged_leg;
   staged_leg.stage_bytes = DefaultShuffleStageBytes();
-  LegResult unstaged = posix_bfs;  // the part-A posix leg is the stage_bytes=0 run
   LegResult staged = RunBfsLeg(in, staged_leg);
   add_row("bfs / staged shuffle", staged, "write-combining staging");
 
   bool staging_equal =
-      staged.result == unstaged.result && staged.update_file_bytes == unstaged.update_file_bytes;
+      staged.result == posix_bfs.result && staged.update_file_bytes == posix_bfs.update_file_bytes;
   if (!staging_equal) {
     std::printf("FAIL: staged shuffle changed the results or the routed update volume\n");
     ok = false;
   }
   json.Exact("staging_results_equal", staging_equal ? 1 : 0);
   json.Info("staged_bfs_wall_seconds", staged.wall);
+  auto& reg = obs::MetricsRegistry::Global();
   json.Info("staged_records",
             static_cast<double>(reg.counter("shuffle.staged_records").Value()));
 

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "algorithms/algorithms.h"
@@ -36,7 +37,6 @@
 #include "scheduler/scan_source.h"
 #include "scheduler/scheduler.h"
 #include "storage/posix_device.h"
-#include "storage/uring_device.h"
 #include "util/env.h"
 #include "util/format.h"
 #include "util/json.h"
@@ -73,10 +73,6 @@ constexpr char kUsage[] = R"(xstream_cli — edge-centric graph processing
                             double-buffered on the device I/O thread)
     --spill-depth=N         spill write-pipeline slots (default 2; raise for
                             RAID update devices)
-    --io-backend=posix|uring  storage backend for the work files (default
-                            posix; uring submits sliced waves of io_uring
-                            SQEs with registered buffers and falls back
-                            loudly when the kernel/sandbox lacks io_uring)
     --stage-bytes=N         per-thread staging bytes for the cache-aware
                             setup edge shuffle (default: auto, half the
                             per-core cache; 0 = legacy fused counting
@@ -403,29 +399,6 @@ std::string ResolveWorkdir(const Options& opts, std::unique_ptr<ScratchDir>& scr
   return workdir;
 }
 
-// Builds the scratch device for the out-of-core/hybrid/jobs paths.
-// --io-backend=uring always constructs the UringDevice: its constructor
-// falls back loudly to the plain POSIX path when the kernel or sandbox
-// rejects io_uring, so the run proceeds either way and --stats-json's
-// device.disk.uring_active gauge records which path actually ran.
-std::unique_ptr<PosixDevice> MakeCliDevice(const Options& opts, const std::string& workdir) {
-  std::string backend = opts.GetString("io-backend", "posix");
-  std::unique_ptr<PosixDevice> dev;
-  if (backend == "uring") {
-    dev = std::make_unique<UringDevice>("disk", workdir);
-  } else if (backend == "posix") {
-    dev = std::make_unique<PosixDevice>("disk", workdir);
-  } else {
-    std::fprintf(stderr, "unknown --io-backend=%s\n%s", backend.c_str(), kUsage);
-    std::exit(2);
-  }
-  // Publish the backend gauges (uring_active, direct_supported) now, not
-  // just at the end-of-run snapshot, so a /healthz probe early in the run
-  // already answers "which I/O path engaged".
-  dev->PublishStats();
-  return dev;
-}
-
 // --stage-bytes: explicit value wins; unset means the cache-probed auto
 // default (sizing.h). 0 keeps the legacy fused counting shuffle.
 size_t StageBytesFromFlags(const Options& opts) {
@@ -460,8 +433,7 @@ void WithEngine(const Options& opts, const EdgeList& edges, uint64_t num_vertice
   }
   std::unique_ptr<ScratchDir> scratch;
   std::string workdir = ResolveWorkdir(opts, scratch);
-  std::unique_ptr<PosixDevice> disk_owner = MakeCliDevice(opts, workdir);
-  PosixDevice& disk = *disk_owner;
+  PosixDevice disk("disk", workdir);
   WriteEdgeFile(disk, "cli.input", edges);
   GraphInfo info = ScanEdges(edges);
   info.num_vertices = num_vertices;
@@ -537,15 +509,9 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
   }
 
   SchedulerOptions sched_opts;
-  if (opts.Has("memory-budget")) {
-    uint64_t requested = opts.GetUint("memory-budget", 0);
-    sched_opts.memory_budget_bytes = requested > 0 ? ResolveMemoryBudget(requested) : 0;
-  } else if (engine_name == "hybrid") {
-    // Mirror the solo hybrid default (half of physical memory) so hybrid
-    // batch jobs actually get pin budget instead of degenerating to the
-    // plain device path.
-    sched_opts.memory_budget_bytes = ResolveMemoryBudget(0);
-  }
+  sched_opts.memory_budget_bytes = SchedulerMemoryBudget(
+      opts.Has("memory-budget") ? std::optional(opts.GetUint("memory-budget", 0)) : std::nullopt,
+      engine_name == "hybrid");
 
   // Declaration order doubles as teardown order: the scheduler (whose
   // destructor abandons jobs, draining I/O on `disk`) must be destroyed
@@ -570,7 +536,7 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
     source = std::move(mem);
   } else if (engine_name == "out-of-core" || engine_name == "hybrid") {
     std::string workdir = ResolveWorkdir(opts, scratch);
-    disk = MakeCliDevice(opts, workdir);
+    disk = std::make_unique<PosixDevice>("disk", workdir);
     WriteEdgeFile(*disk, "cli.input", edges);
     DeviceScanSource::Options sopts;
     sopts.io_unit_bytes = io_unit_bytes;

@@ -15,11 +15,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "core/sizing.h"
 #include "graph/generators.h"
 #include "graph/text_io.h"
 #include "obs/http_exporter.h"
@@ -45,7 +47,9 @@ constexpr char kUsage[] = R"(xstream-serve — multi-tenant graph query daemon
     --io-unit-kb=N          I/O unit (default 1024)
   --threads=N               compute pool size (0 = all cores)
   --partitions=N            per-graph partition count (0 = auto)
-  --memory-budget=BYTES     scheduler admission budget per graph (0 = off)
+  --memory-budget=BYTES     scheduler admission budget per graph (default:
+                            half of physical memory on hybrid, else off;
+                            0 = off)
   --max-active-jobs=N       global concurrent-job ceiling per graph (0 = off)
   --max-body-kb=N           request body ceiling (default 1024; above = 413)
   --tenants=NAME:k=v[:k=v...][,NAME:...]  per-tenant quotas:
@@ -159,7 +163,9 @@ int Main(int argc, char** argv) {
   sopts.io_unit_bytes = static_cast<size_t>(opts.GetUint("io-unit-kb", 1024)) << 10;
   sopts.job_budget_bytes = opts.GetUint("budget-mb", 64) << 20;
   sopts.max_body_bytes = static_cast<size_t>(opts.GetUint("max-body-kb", 1024)) << 10;
-  sopts.scheduler.memory_budget_bytes = opts.GetUint("memory-budget", 0);
+  sopts.scheduler.memory_budget_bytes = SchedulerMemoryBudget(
+      opts.Has("memory-budget") ? std::optional(opts.GetUint("memory-budget", 0)) : std::nullopt,
+      sopts.engine == "hybrid");
   sopts.scheduler.max_active_jobs =
       static_cast<uint32_t>(opts.GetUint("max-active-jobs", 0));
   sopts.scheduler.default_quota.weight = opts.GetDouble("default-weight", 1.0);

@@ -15,9 +15,9 @@
 #      must stay strictly below the full re-plan baseline, and with edge
 #      pinning at full budget the edge device must read each partition's
 #      edges at most once after setup
-#   6. raw-speed smoke: fig32 at smoke scale — io_uring backend, staged
-#      shuffle and compressed update streams must each be result-invariant,
-#      with >= 2x fewer update-device bytes on compressed BFS
+#   6. raw-speed smoke: fig32 at smoke scale — staged shuffle and
+#      compressed update streams must each be result-invariant, with >= 2x
+#      fewer update-device bytes on compressed BFS
 #   7. async-spill smoke: fig28 at smoke scale — async update spill must
 #      match sync results exactly with identical update-file traffic
 #   8. telemetry smoke: a live --jobs run with --http-port=0, polled with

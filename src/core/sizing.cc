@@ -76,6 +76,13 @@ uint64_t ResolveMemoryBudget(uint64_t requested_bytes) {
   return requested_bytes;
 }
 
+uint64_t SchedulerMemoryBudget(std::optional<uint64_t> requested_bytes, bool hybrid) {
+  if (!requested_bytes.has_value()) {
+    return hybrid ? ResolveMemoryBudget(0) : 0;
+  }
+  return *requested_bytes > 0 ? ResolveMemoryBudget(*requested_bytes) : 0;
+}
+
 uint32_t ChooseShuffleFanout(uint32_t num_partitions, size_t cache_bytes,
                              size_t cacheline_bytes) {
   XS_CHECK_GT(cacheline_bytes, 0u);

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 namespace xstream {
 
@@ -61,6 +62,13 @@ bool OutOfCorePartitionsViable(uint64_t vertex_state_bytes, uint64_t memory_budg
 // rather than aborting — an oversized budget is a plan that will thrash, not
 // a programmer error.
 uint64_t ResolveMemoryBudget(uint64_t requested_bytes);
+
+// Multi-job scheduler budget (SchedulerOptions::memory_budget_bytes) for
+// `--jobs` batches and xstream-serve, from an optional --memory-budget. Unset
+// gives hybrid jobs the auto budget above, since a scheduler without a
+// budget never hands its jobs pin budget, and gives every other engine 0
+// (off). An explicit 0 is off; any other request is resolved as above.
+uint64_t SchedulerMemoryBudget(std::optional<uint64_t> requested_bytes, bool hybrid);
 
 // Multi-stage shuffler fanout (§4.2): the largest power of two not exceeding
 // the number of cachelines in the cache (each output chunk needs a resident

@@ -85,10 +85,9 @@ std::string HeaderValue(const std::string& headers, const std::string& name) {
   return value.substr(first, last - first + 1);
 }
 
-// /healthz: liveness plus the per-device backend gauges
-// (device.<name>.uring_active, .direct_supported, .uring_fixed_buffers),
-// grouped by device — an operator's one-request answer to "is it up, and
-// did the fast I/O paths actually engage".
+// /healthz: liveness plus each device's direct_supported gauge — an
+// operator's one-request answer to "is it up, and did direct I/O actually
+// engage".
 HttpResponse HealthzResponse(double uptime_seconds) {
   JsonWriter w;
   w.BeginObject();
@@ -96,34 +95,18 @@ HttpResponse HealthzResponse(double uptime_seconds) {
   w.Field("uptime_seconds", uptime_seconds);
   w.Field("pid", static_cast<uint64_t>(::getpid()));
   w.Key("devices").BeginObject();
-  std::string open_device;  // gauges arrive sorted, so devices arrive grouped
   MetricsRegistry::Global().ForEachGauge([&](const std::string& name, double value) {
     constexpr std::string_view kPrefix = "device.";
-    if (name.rfind(kPrefix, 0) != 0) {
+    constexpr std::string_view kMetric = ".direct_supported";
+    if (name.size() <= kPrefix.size() + kMetric.size() || !name.starts_with(kPrefix) ||
+        !name.ends_with(kMetric)) {
       return;
     }
-    size_t dot = name.find('.', kPrefix.size());
-    if (dot == std::string::npos) {
-      return;
-    }
-    std::string device = name.substr(kPrefix.size(), dot - kPrefix.size());
-    std::string metric = name.substr(dot + 1);
-    if (metric != "uring_active" && metric != "direct_supported" &&
-        metric != "uring_fixed_buffers") {
-      return;
-    }
-    if (device != open_device) {
-      if (!open_device.empty()) {
-        w.EndObject();
-      }
-      w.Key(device).BeginObject();
-      open_device = device;
-    }
-    w.Field(metric, value);
-  });
-  if (!open_device.empty()) {
+    w.Key(name.substr(kPrefix.size(), name.size() - kPrefix.size() - kMetric.size()))
+        .BeginObject();
+    w.Field("direct_supported", value);
     w.EndObject();
-  }
+  });
   w.EndObject();
   w.EndObject();
   return HttpResponse{200, "application/json", w.TakeString(), {}};

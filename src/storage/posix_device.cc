@@ -46,14 +46,6 @@ void FullPwrite(int fd, const void* buf, size_t len, uint64_t offset) {
 
 }  // namespace
 
-void PosixDevice::RawRead(int fd, void* buf, size_t len, uint64_t offset) {
-  FullPread(fd, buf, len, offset);
-}
-
-void PosixDevice::RawWrite(int fd, const void* buf, size_t len, uint64_t offset) {
-  FullPwrite(fd, buf, len, offset);
-}
-
 void PosixDevice::PublishExtraStats(obs::MetricGroup& group) {
   bool supported;
   {
@@ -175,7 +167,7 @@ void PosixDevice::Read(FileId f, uint64_t offset, std::span<std::byte> out) {
                                                                             : file.fd;
   }
   WallTimer timer;
-  RawRead(fd, out.data(), out.size(), offset);
+  FullPread(fd, out.data(), out.size(), offset);
   double elapsed = timer.Seconds();
   std::lock_guard<std::mutex> lock(mu_);
   stats_.bytes_read += out.size();
@@ -193,7 +185,7 @@ void PosixDevice::Write(FileId f, uint64_t offset, std::span<const std::byte> da
     file.size = std::max(file.size, offset + data.size());
   }
   WallTimer timer;
-  RawWrite(fd, data.data(), data.size(), offset);
+  FullPwrite(fd, data.data(), data.size(), offset);
   double elapsed = timer.Seconds();
   std::lock_guard<std::mutex> lock(mu_);
   stats_.bytes_written += data.size();

@@ -42,14 +42,6 @@ class PosixDevice : public StorageDevice {
   bool direct_io_active() const { return direct_supported_; }
 
  protected:
-  // Raw transfer seam: every Read/Write/Append lands here with the chosen
-  // descriptor (buffered or O_DIRECT) after size bookkeeping, outside the
-  // device mutex. The base implementation loops pread/pwrite until complete;
-  // UringDevice overrides these to push the same transfers through an
-  // io_uring submission queue.
-  virtual void RawRead(int fd, void* buf, size_t len, uint64_t offset);
-  virtual void RawWrite(int fd, const void* buf, size_t len, uint64_t offset);
-
   // Publishes direct_supported (1 when an O_DIRECT descriptor ever opened)
   // so --stats-json records which I/O path a run actually used.
   void PublishExtraStats(obs::MetricGroup& group) override;

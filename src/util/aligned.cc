@@ -32,55 +32,4 @@ AlignedBuffer& AlignedBuffer::operator=(AlignedBuffer&& other) noexcept {
   return *this;
 }
 
-AlignedBufferPool& AlignedBufferPool::Shared() {
-  static AlignedBufferPool pool;
-  return pool;
-}
-
-AlignedBuffer AlignedBufferPool::Get(size_t size) {
-  if (size == 0) {
-    return AlignedBuffer{};
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = free_.find(size);
-    if (it != free_.end() && !it->second.empty()) {
-      AlignedBuffer buf = std::move(it->second.back());
-      it->second.pop_back();
-      pooled_bytes_ -= buf.size();
-      ++hits_;
-      return buf;
-    }
-    ++misses_;
-  }
-  return AlignedBuffer(size);
-}
-
-void AlignedBufferPool::Put(AlignedBuffer buf) {
-  if (buf.empty()) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pooled_bytes_ + buf.size() > cap_bytes_) {
-    return;  // drop: ~AlignedBuffer frees it
-  }
-  pooled_bytes_ += buf.size();
-  free_[buf.size()].push_back(std::move(buf));
-}
-
-uint64_t AlignedBufferPool::pooled_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pooled_bytes_;
-}
-
-uint64_t AlignedBufferPool::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-uint64_t AlignedBufferPool::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
 }  // namespace xstream

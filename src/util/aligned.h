@@ -9,10 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <span>
-#include <vector>
 
 namespace xstream {
 
@@ -46,39 +43,6 @@ class AlignedBuffer {
  private:
   std::byte* data_ = nullptr;
   size_t size_ = 0;
-};
-
-// Recycles AlignedBuffers by exact (rounded) size. Device backends that need
-// short-lived sector-aligned staging — the io_uring registered-buffer arena,
-// O_DIRECT bounce buffers — Get() from the shared pool instead of hitting
-// aligned_alloc inside the streaming loop; Put() returns the allocation for
-// the next user. The free list is capped in bytes so tests that create and
-// destroy many devices don't hold the high-water mark forever.
-class AlignedBufferPool {
- public:
-  explicit AlignedBufferPool(uint64_t cap_bytes = uint64_t{64} << 20) : cap_bytes_(cap_bytes) {}
-
-  // Process-wide pool shared by all devices.
-  static AlignedBufferPool& Shared();
-
-  // Returns a buffer of exactly `size` bytes (rounded up to kIoAlignment
-  // internally, like AlignedBuffer itself) — recycled when one of this size
-  // is free, freshly allocated otherwise.
-  AlignedBuffer Get(size_t size);
-  // Returns a buffer to the free list; frees it when the pool is at cap.
-  void Put(AlignedBuffer buf);
-
-  uint64_t pooled_bytes() const;
-  uint64_t hits() const;
-  uint64_t misses() const;
-
- private:
-  uint64_t cap_bytes_;
-  mutable std::mutex mu_;
-  std::map<size_t, std::vector<AlignedBuffer>> free_;
-  uint64_t pooled_bytes_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace xstream

@@ -20,12 +20,15 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/sizing.h"
 #include "graph/generators.h"
+#include "graph/reference.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "scheduler/algo_jobs.h"
@@ -280,6 +283,48 @@ TEST(ServeTest, OutOfCoreMountKeepsEdgeWeightsForSssp) {
     weighted = weighted || solo[v] != std::floor(solo[v]);
   }
   EXPECT_TRUE(weighted) << "the test graph lost its weights";
+}
+
+// ---- Hybrid mounts pin under the default budget ------------------------------
+
+TEST(ServeTest, HybridMountPinsUnderTheDefaultBudget) {
+  // xstream-serve's budget when --memory-budget is unset. Without one the
+  // scheduler never re-splits, so hybrid jobs would pin nothing.
+  serve::ServiceOptions sopts;
+  sopts.engine = "hybrid";
+  sopts.scheduler.memory_budget_bytes = SchedulerMemoryBudget(std::nullopt, /*hybrid=*/true);
+  obs::Counter& promotions = obs::MetricsRegistry::Global().counter("residency.promotions");
+  const uint64_t promotions_before = promotions.Value();
+  ServeHarness h(std::move(sopts));
+  uint64_t pagerank = h.Submit(R"({"graph":"g","algo":"pagerank","params":{"iters":5}})");
+  uint64_t wcc = h.Submit(R"({"graph":"g","algo":"wcc"})");
+
+  auto values_of = [&h](uint64_t id) {
+    h.WaitState(id, "done");
+    HttpReply result = Get(h.port, "/v1/jobs/" + std::to_string(id) + "/result");
+    EXPECT_EQ(result.status, 200) << result.body;
+    std::vector<double> out;
+    JsonValue parsed = MustParse(result.body);
+    if (const JsonValue* values = parsed.Get("values"); values != nullptr) {
+      for (const JsonValue& v : values->as_array()) {
+        out.push_back(ResultValue(v));
+      }
+    }
+    return out;
+  };
+  const uint64_t n = ScanEdges(h.edges).num_vertices;
+  std::vector<double> ranks = values_of(pagerank);
+  std::vector<double> labels = values_of(wcc);
+  ASSERT_EQ(ranks.size(), n);
+  ASSERT_EQ(labels.size(), n);
+  std::vector<double> expected_ranks = ReferencePageRank(ReferenceGraph(h.edges, n), 5);
+  std::vector<VertexId> expected_labels = ReferenceWcc(h.edges, n);
+  for (uint64_t v = 0; v < n; ++v) {
+    EXPECT_NEAR(ranks[v], expected_ranks[v], 1e-4 * expected_ranks[v] + 1e-9) << "vertex " << v;
+    EXPECT_EQ(labels[v], static_cast<double>(expected_labels[v])) << "vertex " << v;
+  }
+  EXPECT_GT(h.service->scheduler("g")->stats().budget_resplits, 0u);
+  EXPECT_GT(promotions.Value(), promotions_before);
 }
 
 // ---- End-to-end: every algorithm, bit-identical to a solo run ---------------

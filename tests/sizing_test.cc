@@ -3,6 +3,7 @@
 
 #include "core/partition.h"
 #include "core/sizing.h"
+#include "util/env.h"
 
 namespace xstream {
 namespace {
@@ -81,6 +82,23 @@ TEST(OutOfCoreSizingTest, ViabilityMatchesChooser) {
 TEST(OutOfCoreSizingTest, InfeasibleBudgetAborts) {
   EXPECT_DEATH(ChooseOutOfCorePartitions(1ull << 40, 1 << 20, 16 << 20),
                "no viable out-of-core partition count");
+}
+
+TEST(SchedulerBudgetTest, UnsetBudgetIsAutoOnHybridOnly) {
+  EXPECT_EQ(SchedulerMemoryBudget(std::nullopt, /*hybrid=*/true), ResolveMemoryBudget(0));
+  EXPECT_GT(SchedulerMemoryBudget(std::nullopt, /*hybrid=*/true), 0u);
+  EXPECT_EQ(SchedulerMemoryBudget(std::nullopt, /*hybrid=*/false), 0u);
+}
+
+TEST(SchedulerBudgetTest, ExplicitZeroIsOffAndOversizeIsClamped) {
+  EXPECT_EQ(SchedulerMemoryBudget(0, /*hybrid=*/true), 0u);
+  EXPECT_EQ(SchedulerMemoryBudget(0, /*hybrid=*/false), 0u);
+  EXPECT_EQ(SchedulerMemoryBudget(64u << 20, /*hybrid=*/false), 64u << 20);
+  const uint64_t physical = PhysicalMemoryBytes();
+  if (physical == 0) {
+    GTEST_SKIP() << "physical memory probe unavailable";
+  }
+  EXPECT_EQ(SchedulerMemoryBudget(physical * 2, /*hybrid=*/true), physical);
 }
 
 TEST(FanoutTest, BoundedByCachelines) {

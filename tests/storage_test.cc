@@ -1,8 +1,9 @@
 // Tests for the storage substrate: SimDevice semantics and service-time
-// model, RAID-0 striping, PosixDevice on a real filesystem, and the
-// prefetching stream reader/writer.
+// model, RAID-0 striping, PosixDevice on a real filesystem (its O_DIRECT
+// descriptor included), and the prefetching stream reader/writer.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <numeric>
@@ -11,6 +12,7 @@
 #include "storage/raid_device.h"
 #include "storage/sim_device.h"
 #include "storage/stream_io.h"
+#include "util/aligned.h"
 #include "util/rng.h"
 
 namespace xstream {
@@ -298,6 +300,80 @@ TEST(PosixDeviceTest, RemoveDeletesFromDisk) {
   dev.Write(f, 0, Pattern(10, 21));
   dev.Remove("gone.bin");
   EXPECT_FALSE(dev.Exists("gone.bin"));
+}
+
+// The cases below run on try_direct devices: unaligned requests take the
+// buffered descriptor beside the O_DIRECT one.
+
+TEST(PosixDeviceTest, WritePastEofExtendsTheFile) {
+  ScratchDir scratch("xs-test");
+  PosixDevice dev("p", scratch.path(), /*try_direct=*/true);
+  FileId f = dev.Create("x");
+  auto data = Pattern(12345, 22);
+  dev.Write(f, 777, data);
+  EXPECT_EQ(dev.FileSize(f), 13122u);
+  std::vector<std::byte> out(data.size());
+  dev.Read(f, 777, out);
+  EXPECT_EQ(out, data);
+}
+
+TEST(PosixDeviceTest, AppendsReturnRunningOffsets) {
+  ScratchDir scratch("xs-test");
+  PosixDevice dev("p", scratch.path(), /*try_direct=*/true);
+  FileId f = dev.Create("x");
+  std::vector<std::byte> all;
+  Rng rng(5);
+  for (int i = 0; i < 20; ++i) {
+    auto piece = Pattern(1 + rng.NextBounded(100000), static_cast<uint8_t>(i));
+    EXPECT_EQ(dev.Append(f, piece), all.size());
+    all.insert(all.end(), piece.begin(), piece.end());
+  }
+  std::vector<std::byte> out(all.size());
+  dev.Read(f, 0, out);
+  EXPECT_EQ(out, all);
+}
+
+TEST(PosixDeviceTest, StatsCountTransferredBytes) {
+  ScratchDir scratch("xs-test");
+  PosixDevice dev("p", scratch.path(), /*try_direct=*/true);
+  FileId f = dev.Create("x");
+  dev.Write(f, 0, Pattern(50000, 23));
+  std::vector<std::byte> out(50000);
+  dev.Read(f, 0, out);
+  DeviceStats s = dev.stats();
+  EXPECT_EQ(s.bytes_written, 50000u);
+  EXPECT_EQ(s.bytes_read, 50000u);
+}
+
+TEST(PosixDeviceTest, DirectPrefixReadsBackThroughABufferedDevice) {
+  // The aligned 1 MiB prefix takes the O_DIRECT descriptor where the
+  // filesystem accepts it (direct_io_active() says whether it did); the
+  // 17-byte tail takes the buffered one. Both must land in one file that a
+  // plain buffered device reads back byte for byte.
+  ScratchDir scratch("xs-test");
+  PosixDevice direct("d", scratch.path(), /*try_direct=*/true);
+  FileId f = direct.Create("mixed.bin");
+  auto expected = Pattern(1 << 20, 24);
+  AlignedBuffer prefix(expected.size());
+  std::memcpy(prefix.data(), expected.data(), expected.size());
+  direct.Write(f, 0, prefix.span());
+  auto tail = Pattern(17, 25);
+  EXPECT_EQ(direct.Append(f, tail), prefix.size());
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  if (!direct.direct_io_active()) {
+    std::printf("note: O_DIRECT refused here; the prefix went through the buffered fd\n");
+  }
+
+  AlignedBuffer direct_read(prefix.size());
+  direct.Read(f, 0, direct_read.span());
+  EXPECT_EQ(std::memcmp(direct_read.data(), prefix.data(), prefix.size()), 0);
+
+  PosixDevice buffered("b", scratch.path());
+  FileId g = buffered.Open("mixed.bin");
+  ASSERT_EQ(buffered.FileSize(g), expected.size());
+  std::vector<std::byte> out(expected.size());
+  buffered.Read(g, 0, out);
+  EXPECT_EQ(out, expected);
 }
 
 TEST(ScratchDirTest, CleansUpOnDestruction) {
